@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner, set_default_runner
+from repro.fabric import ParallelRunner, set_default_runner
 from repro.experiments.reporting import FigureResult, format_figure
 
 

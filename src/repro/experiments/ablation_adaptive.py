@@ -6,8 +6,13 @@ On a phase-alternating workload (high STLB pressure ↔ quiet), compares:
 * iTP+xPTP with xPTP forced always-on (adaptive disabled);
 * iTP+xPTP with the adaptive switch at several T1 thresholds.
 
-Expected shape: the adaptive scheme matches or beats always-on because it
-reverts the L2C to LRU during quiet phases.
+What the ablation shows is the switch's mechanism: the controller tracks
+the phases (xPTP is enabled for roughly half the windows, and raising T1
+makes it more conservative), and the adaptive scheme still improves on
+LRU while staying within a few points of always-on.  It does not beat
+always-on here: the simplified timing model underprices the L2C capacity
+an always-on xPTP takes from the quiet phases (EXPERIMENTS.md,
+deviation 3).
 """
 
 from __future__ import annotations
@@ -31,11 +36,7 @@ def build_jobs(
     phase_records: int = 12_000,
     topology: Optional[str] = None,
 ) -> list:
-    """The ablation's job matrix, without running it.
-
-    Exposed so harnesses (the CI fabric-smoke, overlap tests) can submit
-    the same matrix several times and exercise cross-submission dedup.
-    """
+    """The ablation's job matrix, without running it."""
     wl = PhasedWorkload("phased", seed=7, phase_records=phase_records)
     base = scaled_config()
     always_on = replace(
@@ -67,7 +68,11 @@ def run(
         figure="Ablation adaptive",
         description="Adaptive xPTP/LRU switch on a phase-alternating workload",
         headers=["scheme", "ipc_improvement_pct", "windows_xptp_enabled_pct"],
-        notes=["expected: adaptive >= always-on; T1 extremes degrade"],
+        notes=[
+            "expected: adaptive tracks the phases (xPTP on for ~half the "
+            "windows, fewer as T1 rises), beats LRU, and stays within a few "
+            "points of always-on"
+        ],
     )
     jobs = build_jobs(
         t1_values, warmup=warmup, measure=measure,

@@ -1,44 +1,15 @@
-"""The execution fabric: jobs, store, backends, scheduler, facade API.
+"""The execution fabric (``docs/fabric.md``).
 
-The fabric decomposes experiment execution into four seams (see
-``docs/fabric.md``):
-
-* :mod:`repro.fabric.jobs` — what a cell *is*: :class:`SimJob`,
-  content-addressed :func:`job_key` identity, workload fingerprints;
-* :mod:`repro.fabric.store` — the shared artifact store: the
-  integrity-checked on-disk :class:`ResultCache`;
-* :mod:`repro.fabric.backends` — where attempts run: the
-  :class:`Backend` protocol with serial / thread / process-pool
-  implementations (``Backend.execute`` anchors lint rule RPR008's
-  worker-determinism closure);
-* :mod:`repro.fabric.scheduler` — the submission queue: many concurrent
-  matrices deduplicated by ``job_key``, retry/timeout/failure policy per
-  unique cell, streaming delivery via ``Submission.iter_results``.
-
-:mod:`repro.fabric.api` keeps the historical ``ParallelRunner`` /
-``run_jobs`` surface as thin facades; ``repro.experiments.parallel``
-re-exports everything here for backward compatibility.
+* :mod:`~repro.fabric.jobs` — what a cell *is*: :class:`SimJob` and its
+  content address :func:`job_key`;
+* :mod:`~repro.fabric.store` — the checksummed on-disk :class:`ResultCache`;
+* :mod:`~repro.fabric.execute` — where attempts run: :func:`execute_cell`
+  (the RPR008 anchor), inline or in a process pool;
+* :mod:`~repro.fabric.runner` — :class:`ParallelRunner`: one matrix per
+  call, deduplicated by ``job_key``, streamed by ``run_iter``.
 """
 
-from .api import (
-    ParallelRunner,
-    configure_default_runner,
-    get_default_runner,
-    run_iter,
-    run_jobs,
-    set_default_runner,
-)
-from .backends import (
-    BACKENDS,
-    Backend,
-    BackendBroken,
-    CellCompletion,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    execute_cell,
-    make_backend,
-)
+from .execute import execute_cell
 from .jobs import (
     CACHE_VERSION,
     CONTINUE,
@@ -53,23 +24,22 @@ from .jobs import (
     smt,
     workload_fingerprint,
 )
-from .scheduler import (
+from .runner import (
     CellReport,
     MatrixError,
     MatrixReport,
-    Scheduler,
-    SchedulerConfig,
-    Submission,
+    ParallelRunner,
+    configure_default_runner,
+    get_default_runner,
+    run_iter,
+    run_jobs,
+    set_default_runner,
 )
 from .store import STALE_TMP_SECONDS, ResultCache
 
 __all__ = [
-    "BACKENDS",
-    "Backend",
-    "BackendBroken",
     "CACHE_VERSION",
     "CONTINUE",
-    "CellCompletion",
     "CellReport",
     "CellTimeout",
     "ConfigurationError",
@@ -78,21 +48,14 @@ __all__ = [
     "MatrixError",
     "MatrixReport",
     "ParallelRunner",
-    "ProcessPoolBackend",
     "ResultCache",
     "STALE_TMP_SECONDS",
-    "Scheduler",
-    "SchedulerConfig",
-    "SerialBackend",
     "SimJob",
     "SimulationError",
-    "Submission",
-    "ThreadPoolBackend",
     "configure_default_runner",
     "execute_cell",
     "get_default_runner",
     "job_key",
-    "make_backend",
     "run_iter",
     "run_jobs",
     "set_default_runner",

@@ -1,28 +1,17 @@
 """Job identity: what a simulation cell *is*, independent of how it runs.
 
-A :class:`SimJob` describes one independent simulation — a configuration,
-an optional topology, one workload (or two for SMT, or one per core for a
-multicore graph), the warmup/measure windows and a technique label.  The
-description is pure data: two jobs with equal descriptions produce
-bit-identical results on any backend, which is the invariant the whole
-fabric rests on.
-
-:func:`job_key` collapses a job to a stable content address.  It is the
-unit of deduplication (the scheduler simulates each unique key exactly
-once across concurrent submissions) and the key of the shared artifact
-store (:class:`repro.fabric.store.ResultCache`).
-
-This module also owns the fabric's shared vocabulary — failure policies,
-error types, and the ``REPRO_*`` environment-knob parsers — so the other
-fabric modules never need to import each other for basics.
+A :class:`SimJob` is pure data: two jobs with equal descriptions produce
+bit-identical results on any worker, which is the invariant the whole
+fabric rests on.  :func:`job_key` collapses a job to a stable content
+address: the runner's unit of deduplication and the key of the
+:class:`~repro.fabric.store.ResultCache`.  The fabric's failure policies
+and error types live here too.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from pathlib import Path  # noqa: F401 - re-exported type alias convenience
 from typing import Optional, Sequence, Tuple, Union
 
 from ..common.params import SystemConfig
@@ -32,11 +21,8 @@ from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 
 #: Bump to invalidate every cached result (e.g. after a simulator behaviour
-#: change that job descriptions cannot see).  4: checksummed entry format.
-#: 5: MSHR structural retirement preserves Type bits (and exports
-#: ``*.mshr_retirements``), so cells simulated before the fix are stale.
-#: 6: jobs carry an execution engine; pre-engine entries predate the
-#: ``engine=`` key part and must not be served for either engine.
+#: change that job descriptions cannot see).  4: checksummed entries;
+#: 5: MSHR retirement keeps Type bits; 6: jobs carry an execution engine.
 CACHE_VERSION = 6
 
 #: Failure policies: fail-fast preserves the historical behaviour (first
@@ -64,17 +50,12 @@ class CellTimeout(RuntimeError):
 class SimJob:
     """One independent simulation: a ``(technique, workload)`` cell.
 
-    ``workloads`` holds one workload for a single-thread run or two for an
-    SMT co-location (dispatching to :func:`repro.core.simulator.simulate` /
-    :func:`repro.core.simulator.simulate_smt`).  ``topology`` selects the
-    machine graph — ``None`` for the default Table 1 hierarchy, a preset
-    name (``"split-stlb"``, ``"multicore-2"``, ...) or a full
-    :class:`TopologySpec`.  A multi-core topology dispatches to
-    :func:`repro.core.multicore.simulate_multicore` and takes one workload
-    per core.  ``engine`` selects the execution engine
-    (:mod:`repro.kernel`): ``None`` defers to ``REPRO_ENGINE`` then the
-    default, so the choice resolves on the executing worker and is pinned
-    into the cache key.
+    ``workloads`` holds one workload (``simulate``), two for SMT
+    (``simulate_smt``) or one per core of a multi-core ``topology``
+    (``simulate_multicore``).  ``topology`` is ``None`` (Table 1), a preset
+    name or a :class:`TopologySpec`.  ``engine`` picks the
+    :mod:`repro.kernel` engine; ``None`` defers to ``REPRO_ENGINE``, so it
+    resolves on the executing worker and is pinned into the cache key.
     """
 
     config: SystemConfig
@@ -132,11 +113,6 @@ def smt(
     return SimJob(config, tuple(workloads), warmup, measure, label, topology, engine)
 
 
-# --------------------------------------------------------------------- #
-# Content addressing
-# --------------------------------------------------------------------- #
-
-
 def workload_fingerprint(workload: SyntheticWorkload) -> str:
     """Deterministic identity of a workload's generated stream.
 
@@ -153,15 +129,11 @@ def workload_fingerprint(workload: SyntheticWorkload) -> str:
 def job_key(job: SimJob) -> str:
     """Stable content address for a job.
 
-    ``SystemConfig`` is a tree of frozen dataclasses whose ``repr`` lists
-    every field, so it serves as a canonical config hash input.  The
-    topology is always resolved to a spec and keyed by its content hash —
-    so a preset name and the equivalent explicit spec share cache entries,
-    while jobs differing only in machine graph never collide.  The engine
-    is keyed *resolved* (both engines are bit-identical, but separate keys
-    keep a per-engine provenance trail and make cross-engine cache hits an
-    explicit non-goal); a job deferring to ``REPRO_ENGINE`` therefore maps
-    to the same entry as one pinning that engine explicitly.
+    The config is keyed by its ``repr`` (a tree of frozen dataclasses that
+    lists every field); the topology by its resolved spec's content hash,
+    so a preset name and the equivalent spec share one key; the engine
+    *resolved*, so deferring to ``REPRO_ENGINE`` keys like pinning that
+    engine, while the two engines never share cache entries.
     """
     parts = [
         f"cache-version={CACHE_VERSION}",
@@ -174,55 +146,3 @@ def job_key(job: SimJob) -> str:
     ]
     parts.extend(workload_fingerprint(w) for w in job.workloads)
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
-# --------------------------------------------------------------------- #
-# Environment knobs
-# --------------------------------------------------------------------- #
-
-
-def _env_workers() -> int:
-    value = os.environ.get("REPRO_WORKERS", "").strip()
-    if not value:
-        return 1
-    if value.lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        count = int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_WORKERS must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    return max(1, count)
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-    return max(minimum, value)
-
-
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a number of seconds, got {raw!r}"
-        ) from None
-
-
-def _jitter(cell: str, attempt: int) -> float:
-    """Deterministic retry jitter in [0.5, 1) — seeded by cell and attempt,
-    so backoff schedules are reproducible run to run."""
-    digest = hashlib.sha256(f"backoff|{cell}|{attempt}".encode("utf-8")).digest()
-    return 0.5 + 0.5 * (int.from_bytes(digest[:8], "big") / 2.0**64)

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the experiment-execution stack.
 
-The resilience machinery in :mod:`repro.experiments.parallel` — per-cell
+The resilience machinery in :mod:`repro.fabric` — per-cell
 retries, wall-clock timeouts, ``BrokenProcessPool`` recovery, checksummed
 cache entries with quarantine — is only trustworthy if every recovery path
 is exercised by *real* injected faults, not mocks.  This package provides

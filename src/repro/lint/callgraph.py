@@ -20,8 +20,8 @@ every edge that matters.  This module therefore builds:
   ``self.m(...)`` to the defining class when it has such a method,
   bare calls to same-module functions or class constructors, and
   everything else by bare-name match over the indexed definitions
-  (a deliberate over-approximation: replacement policies, prefetchers
-  and backends are duck-typed, so name-match is the honest static
+  (a deliberate over-approximation: replacement policies and
+  prefetchers are duck-typed, so name-match is the honest static
   answer).
 
 ``Program.reach`` runs a BFS closure over those edges with hooks the

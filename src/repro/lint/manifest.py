@@ -234,13 +234,12 @@ KERNEL_GATED_EFFECTS: Dict[str, str] = {
 }
 
 #: RPR008 entry points: functions shipped to pool workers.  Everything
-#: reachable from them must stay deterministic.  ``Backend.execute`` is
-#: the fabric's execution seam (every backend funnels attempts through
-#: it); ``execute_cell`` is the module-level body it delegates to, which
-#: is what ``ProcessPoolExecutor`` actually pickles to workers.  RPR009
-#: cross-checks that both names still resolve.
+#: reachable from them must stay deterministic.  ``execute_cell`` runs
+#: every cell attempt, inline on the serial path and as the callable
+#: ``ProcessPoolExecutor`` pickles to pool workers.  RPR009 cross-checks
+#: that the name still resolves.
 WORKER_ENTRY_POINTS: Dict[str, FrozenSet[str]] = {
-    "fabric/backends/base.py": frozenset({"Backend.execute", "execute_cell"}),
+    "fabric/execute.py": frozenset({"execute_cell"}),
 }
 
 #: Relkey prefixes whose code RPR008 does not descend into: the

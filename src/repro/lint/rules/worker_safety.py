@@ -1,10 +1,10 @@
 """RPR008 — worker-reachable code is deterministic and share-nothing.
 
-The fabric's execution backends ship the worker entry points
-(:data:`repro.lint.manifest.WORKER_ENTRY_POINTS` — ``Backend.execute``
-and the ``execute_cell`` body it delegates to) to pool processes, and
-the planned multi-host backends will ship them further.  Two invariants
-make that safe and keep cell results content-addressable by ``job_key``:
+The fabric's runner ships the worker entry point
+(:data:`repro.lint.manifest.WORKER_ENTRY_POINTS` — ``execute_cell`` in
+``fabric/execute.py``) to pool processes and runs it inline on the
+serial path.  Two invariants make that safe and keep cell results
+content-addressable by ``job_key``:
 
 * no write to module-level mutable state (results must not depend on
   which worker ran which cell, or in what order);

@@ -1,30 +1,38 @@
-"""Tests for the execution fabric: scheduler dedup, streaming, backends.
+"""Tests for the execution fabric: dedup, streaming, fault-plan scope, keys.
 
-The facade contract (``ParallelRunner``/``run_jobs``) is pinned by
-``test_parallel_runner.py``; this module covers what only the fabric
-provides — cross-submission dedup, incremental delivery and pluggable
-backends — plus the ``configure_default_runner`` worker-count regression.
+The runner's retry/crash/cache contract is pinned by
+``test_parallel_runner.py``; this module covers within-matrix dedup by
+``job_key``, incremental delivery, the per-runner fault-plan scope and
+``job_key`` canonicity, plus the ``configure_default_runner``
+worker-count regression.
 """
 
-import threading
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.params import scaled_config
+from repro.experiments.runner import POLICY_MATRIX, config_for
 from repro.fabric import (
     ParallelRunner,
-    Scheduler,
-    SchedulerConfig,
     SimJob,
     configure_default_runner,
     job_key,
     run_iter,
     set_default_runner,
 )
-from repro.fabric.store import ResultCache
-from repro.faults import install_plan
+from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
+from repro.topology.presets import resolve_topology
 from repro.workloads.server import ServerWorkload
+from repro.workloads.speclike import SpecLikeWorkload
 
 WARMUP = 2_000
 MEASURE = 8_000
@@ -59,98 +67,117 @@ def assert_same_result(a, b):
     assert a.stats.instructions == b.stats.instructions
 
 
-class TestConcurrentDedup:
-    def _submit_concurrently(self, scheduler, matrices):
-        results = [None] * len(matrices)
-        errors = []
-        barrier = threading.Barrier(len(matrices))
+class TestWithinMatrixDedup:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicate_cells_simulate_once(self, workers):
+        unique_jobs = jobs_for(("lru", "itp"))
+        # Equal content, fresh objects: duplicates are found by job_key.
+        matrix = unique_jobs + jobs_for(("itp",))
+        runner = ParallelRunner(workers=workers)
+        results = runner.run(matrix)
 
-        def consume(slot, jobs):
-            try:
-                barrier.wait(timeout=30)
-                results[slot] = scheduler.submit(jobs).collect()
-            except BaseException as exc:
-                errors.append(exc)
+        assert len(results) == len(matrix)
+        assert runner.simulations == len({job_key(j) for j in matrix})
+        by_key = {}
+        for job, result in zip(matrix, results):
+            assert by_key.setdefault(job_key(job), result) is result
+        reference = ParallelRunner(workers=1).run(unique_jobs)
+        for job, want in zip(unique_jobs, reference):
+            assert_same_result(by_key[job_key(job)], want)
+        statuses = [cell.status for cell in runner.last_report.cells]
+        assert statuses == ["ok"] * len(matrix)
 
-        threads = [
-            threading.Thread(target=consume, args=(slot, jobs))
-            for slot, jobs in enumerate(matrices)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-        return results
 
-    def test_overlapping_submissions_execute_each_key_once(self):
-        workloads = small_workloads(3)
-        jobs_a = jobs_for(("lru", "itp"), workloads)  # 6 cells
-        jobs_b = jobs_for(("itp", "xptp"), workloads)  # 6 cells, 3 shared
-        unique = len({job_key(j) for j in jobs_a + jobs_b})
-        assert unique == 9  # the overlap is real
-
-        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
-
-        assert scheduler.simulations == unique
-        assert scheduler.dedup_hits == len(jobs_a) + len(jobs_b) - unique
-        # Complete, order-preserved results for both callers.
-        assert [r.workload for r in res_a] == [j.workload_name for j in jobs_a]
-        assert [r.workload for r in res_b] == [j.workload_name for j in jobs_b]
-        # Shared cells settle to the same result object in both matrices.
-        by_key = {job_key(j): r for j, r in zip(jobs_a, res_a)}
-        for job, result in zip(jobs_b, res_b):
-            if job_key(job) in by_key:
-                assert result is by_key[job_key(job)]
-
-    def test_concurrent_results_bit_identical_to_serial(self):
-        jobs_a = jobs_for(("lru", "itp"))
-        jobs_b = jobs_for(("itp", "xptp"))
-        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
-        serial_a = ParallelRunner(workers=1).run(jobs_a)
-        serial_b = ParallelRunner(workers=1).run(jobs_b)
-        for got, want in zip(res_a + res_b, serial_a + serial_b):
-            assert_same_result(got, want)
-
-    def test_chaos_concurrent_submissions_converge_to_serial(
-        self, tmp_path, monkeypatch
-    ):
-        """Crashing workers and a torn cache write must not break dedup or
-        change any settled result vs a clean serial run."""
-        monkeypatch.setenv(
-            "REPRO_FAULTS",
-            "worker.crash:1:0::lru x w0,cache.torn-write:1:0:1",
+class TestFaultPlanScope:
+    def test_runner_plan_is_not_installed_across_a_yield(self, tmp_path):
+        ambient = FaultPlan([FaultSpec("worker.hang", probability=0.0)])
+        install_plan(ambient)
+        plan = FaultPlan([FaultSpec("worker.crash", match="lru x w0")])
+        runner = ParallelRunner(
+            workers=1, cache_dir=tmp_path, max_retries=1, backoff_base=0.0,
+            faults=plan,
         )
-        fault_plan_mod._env_cache = (None, None)
-        jobs_a = jobs_for(("lru", "itp"))
-        jobs_b = jobs_for(("itp", "xptp"))
-        config = SchedulerConfig.from_knobs(
-            2, False, max_retries=2, max_pool_restarts=4
-        )
-        scheduler = Scheduler(config, cache=ResultCache(tmp_path))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
-        assert scheduler.simulations == len({job_key(j) for j in jobs_a + jobs_b})
+        rows = 0
+        for _index, _cell, _result in runner.run_iter(jobs_for(("lru",))):
+            assert fault_plan_mod.active_plan() is ambient
+            rows += 1
+        assert rows == 2
+        # The runner's own plan governed its cells.
+        first = runner.last_report.cells[0]
+        assert first.injected == ("worker.crash",)
+        assert first.attempts == 2
 
-        monkeypatch.delenv("REPRO_FAULTS")
-        fault_plan_mod._env_cache = (None, None)
-        serial_a = ParallelRunner(workers=1).run(jobs_a)
-        serial_b = ParallelRunner(workers=1).run(jobs_b)
-        for got, want in zip(res_a + res_b, serial_a + serial_b):
-            assert_same_result(got, want)
 
-    def test_late_submission_attaches_to_settled_cells(self, tmp_path):
-        scheduler = Scheduler(
-            SchedulerConfig.from_knobs(1, False), cache=ResultCache(tmp_path)
+#: Hash/canonical tests run at the high example tier.
+DETERMINISM_SETTINGS = settings(max_examples=500, deadline=None)
+
+TOPOLOGIES = (None, "table1", "split-stlb", "no-llc", "multicore-2", "shared-l2")
+
+
+def describe_job(technique, warmup, measure, label, topology, seed):
+    """Build a job from scratch: fresh config, fresh workload objects."""
+    cores = 2 if topology in ("multicore-2", "shared-l2") else 1
+    workloads = tuple(SpecLikeWorkload(f"s{i}", seed + i) for i in range(cores))
+    return SimJob(config_for(technique), workloads, warmup, measure, label, topology)
+
+
+job_descriptions = st.tuples(
+    st.sampled_from(list(POLICY_MATRIX)),
+    st.integers(min_value=0, max_value=50_000),
+    st.integers(min_value=1, max_value=200_000),
+    st.sampled_from(("", "lru", "itp", "itp+xptp", "a x b")),
+    st.sampled_from(TOPOLOGIES),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+def key_batch():
+    """A fixed batch of keys, recomputed in a child process below."""
+    cells = [(technique, topology) for technique in POLICY_MATRIX for topology in TOPOLOGIES]
+    return [
+        job_key(describe_job(technique, 1_000 * i, 5_000, technique, topology, i))
+        for i, (technique, topology) in enumerate(cells)
+    ]
+
+
+class TestJobKeyDeterminism:
+    @DETERMINISM_SETTINGS
+    @given(a=job_descriptions, b=job_descriptions)
+    def test_key_is_canonical(self, a, b):
+        job_a = describe_job(*a)
+        key = job_key(job_a)
+        assert len(key) == 64 and set(key) <= set("0123456789abcdef")
+        # Same description, independently built: same key.
+        assert job_key(describe_job(*a)) == key
+        # A preset name and its resolved spec name the same machine.
+        spec = resolve_topology(job_a.topology, job_a.config)
+        assert job_key(replace(job_a, topology=spec)) == key
+        # Different content, different key.
+        job_b = describe_job(*b)
+
+        def content(job):
+            return (
+                job.config, job.warmup, job.measure, job.label,
+                job.resolved_topology().content_hash(), job.workloads[0].seed,
+            )
+
+        assert (job_key(job_b) == key) == (content(job_b) == content(job_a))
+
+    def test_keys_survive_a_different_hash_seed(self):
+        root = Path(__file__).resolve().parent.parent
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
         )
-        jobs = jobs_for(("lru",))
-        first = scheduler.submit(jobs).collect()
-        second = scheduler.submit(jobs).collect()
-        assert scheduler.simulations == len(jobs)
-        assert scheduler.dedup_hits == len(jobs)
-        for a, b in zip(first, second):
-            assert a is b
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from tests.test_fabric import key_batch; "
+             "print(json.dumps(key_batch()))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert json.loads(child.stdout) == key_batch()
 
 
 class TestStreaming:
@@ -186,15 +213,6 @@ class TestStreaming:
             assert len(rows) == len(jobs)
         finally:
             set_default_runner(previous)
-
-
-class TestThreadBackend:
-    def test_thread_backend_matches_serial(self):
-        jobs = jobs_for(("lru", "itp"))
-        threaded = ParallelRunner(workers=4, backend="thread").run(jobs)
-        serial = ParallelRunner(workers=1).run(jobs)
-        for got, want in zip(threaded, serial):
-            assert_same_result(got, want)
 
 
 class TestConfigureDefaultRunner:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.cpu import Core
 from repro.core.simulator import simulate
 from repro.core.system import System
-from repro.experiments.parallel import SimJob, job_key
+from repro.fabric import SimJob, job_key
 from repro.experiments.runner import config_for
 from repro.kernel import (
     DEFAULT_ENGINE,

@@ -268,7 +268,7 @@ class TestRPR007EffectParity:
 
 def worker_rule():
     return WorkerSafetyRule(
-        entry_points={"experiments/parallel.py": frozenset({"_execute"})},
+        entry_points={"fabric/execute.py": frozenset({"execute_cell"})},
         sanctioned_prefixes=("faults/",),
     )
 
@@ -278,12 +278,12 @@ class TestRPR008WorkerSafety:
         src = (
             "import random\n"
             "import time\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    rng = random.Random(job.seed)\n"
             "    start = time.perf_counter()\n"
             "    return rng.random(), time.perf_counter() - start\n"
         )
-        diags = lint_sources({"experiments/parallel.py": src}, rules=[worker_rule()])
+        diags = lint_sources({"fabric/execute.py": src}, rules=[worker_rule()])
         assert diags == []
 
     def test_unseeded_rng_and_wall_clock_reached_through_helper(self):
@@ -295,29 +295,29 @@ class TestRPR008WorkerSafety:
         )
         entry = (
             "from repro.workloads.noise import jitter\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    return jitter()\n"
         )
         diags = lint_sources(
-            {"workloads/noise.py": helper, "experiments/parallel.py": entry},
+            {"workloads/noise.py": helper, "fabric/execute.py": entry},
             rules=[worker_rule()],
         )
         assert codes(diags) == ["RPR008", "RPR008"]
         messages = " ".join(d.message for d in diags)
         assert "random.random" in messages and "time.time" in messages
-        assert all("_execute" in d.message for d in diags)
+        assert all("execute_cell" in d.message for d in diags)
         assert all(d.relkey == "workloads/noise.py" for d in diags)
 
     def test_module_global_write_is_flagged(self):
         src = (
             "_RESULTS = {}\n"
             "_counter = 0\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    global _counter\n"
             "    _counter += 1\n"
             "    _RESULTS[job.key] = 1\n"
         )
-        diags = lint_sources({"experiments/parallel.py": src}, rules=[worker_rule()])
+        diags = lint_sources({"fabric/execute.py": src}, rules=[worker_rule()])
         found = {d.message.split("'")[1] for d in diags}
         assert found == {"global:_counter", "global:_RESULTS"}
 
@@ -325,11 +325,11 @@ class TestRPR008WorkerSafety:
         faults = "import time\ndef maybe_hang():\n    time.sleep(1)\n"
         entry = (
             "from repro.faults.inject import maybe_hang\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    maybe_hang()\n"
         )
         diags = lint_sources(
-            {"faults/inject.py": faults, "experiments/parallel.py": entry},
+            {"faults/inject.py": faults, "fabric/execute.py": entry},
             rules=[worker_rule()],
         )
         assert diags == []
@@ -337,10 +337,10 @@ class TestRPR008WorkerSafety:
     def test_callee_site_suppression(self):
         src = (
             "import time\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    return time.time()  # repro: allow[RPR008]\n"
         )
-        diags = lint_sources({"experiments/parallel.py": src}, rules=[worker_rule()])
+        diags = lint_sources({"fabric/execute.py": src}, rules=[worker_rule()])
         assert diags == []
 
     def test_call_site_suppression_prunes_the_subtree(self):
@@ -349,11 +349,11 @@ class TestRPR008WorkerSafety:
         helper = "import time\ndef stamp():\n    return time.time()\n"
         entry = (
             "from repro.workloads.clock import stamp\n"
-            "def _execute(job):\n"
+            "def execute_cell(job):\n"
             "    return stamp()  # repro: allow[RPR008]\n"
         )
         diags = lint_sources(
-            {"workloads/clock.py": helper, "experiments/parallel.py": entry},
+            {"workloads/clock.py": helper, "fabric/execute.py": entry},
             rules=[worker_rule()],
         )
         assert diags == []
@@ -450,6 +450,26 @@ class TestRPR009ManifestLiveness:
             rules=[liveness_rule(hot)],
         )
         assert diags == []
+
+    def test_renamed_worker_entry_point_is_a_hard_error(self):
+        rule = ManifestLivenessRule(
+            hot_functions={},
+            hot_names=frozenset(),
+            exempt_prefixes=(),
+            exempt_qual_prefixes=(),
+            manifest_relkey="lint/manifest.py",
+            worker_entry_points={"fabric/execute.py": frozenset({"execute_cell"})},
+        )
+        manifest = 'W = {"fabric/execute.py": frozenset({"execute_cell"})}\n'
+        renamed = "def run_cell(job):\n    return job\n"
+        diags = lint_sources(
+            {"lint/manifest.py": manifest, "fabric/execute.py": renamed},
+            rules=[rule],
+        )
+        assert codes(diags) == ["RPR009"]
+        assert "fabric/execute.py:execute_cell" in diags[0].message
+        assert "does not resolve" in diags[0].message
+        assert diags[0].relkey == "lint/manifest.py"
 
     def test_rule_is_inert_without_the_manifest_module(self):
         hot = {"gone/mod.py": frozenset({"f"})}

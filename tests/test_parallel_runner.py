@@ -6,7 +6,8 @@ import time
 import pytest
 
 from repro.common.params import scaled_config
-from repro.experiments.parallel import (
+from repro.experiments.runner import compare_single_thread, config_for
+from repro.fabric import (
     CONTINUE,
     CellTimeout,
     ConfigurationError,
@@ -15,7 +16,6 @@ from repro.experiments.parallel import (
     ResultCache,
     SimJob,
     SimulationError,
-    _execute,
     get_default_runner,
     job_key,
     run_jobs,
@@ -24,7 +24,7 @@ from repro.experiments.parallel import (
     smt,
     workload_fingerprint,
 )
-from repro.experiments.runner import compare_single_thread, config_for
+from repro.fabric import execute_cell as _execute
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
 from repro.workloads.server import ServerWorkload
