@@ -9,8 +9,8 @@ policy would follow.
 
 Registration is the whole integration story: once the name exists in
 :data:`repro.tlb.policies.registry.TLB_POLICIES`, every construction path —
-``SystemConfig.with_policies``, topology specs, the experiment drivers —
-can use it like a built-in.
+``SystemConfig.with_policies``, ``System``/``MulticoreSystem``, the
+experiment drivers — can use it like a built-in.
 
 Run:  python examples/custom_policy.py
 """

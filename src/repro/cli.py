@@ -9,8 +9,6 @@ Examples::
     python -m repro --techniques lru itp itp+xptp --workload server --seed 3
     python -m repro --workload spec --measure 100000
     python -m repro --techniques lru itp --workers 4 --cache-dir .repro-cache
-    python -m repro --topology split-stlb --techniques lru itp
-    python -m repro --topology multicore-2 --techniques lru itp+xptp
     python -m repro --list
     python -m repro --describe
 """
@@ -32,10 +30,8 @@ from .fabric import (
     SimJob,
 )
 from .experiments.reporting import format_table
-from .experiments.runner import MEASURE, POLICY_MATRIX, WARMUP, config_for
+from .experiments.runner import MEASURE, POLICY_MATRIX, SUITES, WARMUP, config_for
 from .kernel import ENGINES, resolve_engine
-from .topology.presets import PRESET_NAMES, resolve_topology
-from .topology.spec import TopologyError
 from .workloads.phased import PhasedWorkload
 from .workloads.server import ServerWorkload
 from .workloads.speclike import SpecLikeWorkload
@@ -73,13 +69,13 @@ def describe(config: SystemConfig) -> str:
     return f"{header}\n{extras}"
 
 
-def make_workload(kind: str, seed: int):
+def make_workload(kind: str, seed: int, large_page_percent: int = 0):
     if kind == "server":
-        return ServerWorkload(f"server_{seed}", seed)
+        return ServerWorkload(f"server_{seed}", seed, large_page_percent=large_page_percent)
     if kind == "spec":
-        return SpecLikeWorkload(f"spec_{seed}", seed)
+        return SpecLikeWorkload(f"spec_{seed}", seed, large_page_percent=large_page_percent)
     if kind == "phased":
-        return PhasedWorkload(f"phased_{seed}", seed)
+        return PhasedWorkload(f"phased_{seed}", seed, large_page_percent=large_page_percent)
     raise ValueError(f"unknown workload kind {kind!r}; choose from {WORKLOAD_KINDS}")
 
 
@@ -93,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TECH", help=f"techniques from Table 2: {', '.join(POLICY_MATRIX)}",
     )
     parser.add_argument("--workload", choices=WORKLOAD_KINDS, default="server")
-    parser.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help="machine graph preset (default: the Table 1 hierarchy); "
-             f"one of: {', '.join(PRESET_NAMES)}",
-    )
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine (default: REPRO_ENGINE, then 'spec'); both "
@@ -142,9 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
-        for name, policies in POLICY_MATRIX.items():
-            spec = ", ".join(f"{k}={v}" for k, v in policies.items()) or "all-LRU baseline"
-            print(f"{name:<14} {spec}")
+        for name, suite in SUITES.items():
+            print(f"{name:<14} {suite.summary()}")
         return 0
     if args.describe:
         print(describe(scaled_config()))
@@ -163,21 +153,19 @@ def main(argv: List[str] = None) -> int:
         return 2
 
     try:
-        spec = resolve_topology(args.topology, scaled_config())
-    except TopologyError as exc:
+        workload = make_workload(args.workload, args.seed, args.large_pages)
+    except ValueError as exc:
+        print(f"--large-pages: {exc}", file=sys.stderr)
+        return 2
+    try:
+        jobs = [
+            SimJob(config_for(t), (workload,), args.warmup, args.measure,
+                   label=t, engine=args.engine)
+            for t in args.techniques
+        ]
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    # One workload per core (a single-core topology gets exactly one);
-    # extra cores run the same workload kind at distinct seeds.
-    workloads = tuple(
-        make_workload(args.workload, args.seed + index)
-        for index in range(spec.num_cores)
-    )
-    for workload in workloads:
-        if args.large_pages:
-            workload.large_page_percent = args.large_pages
-    workload = workloads[0]
 
     headers = ["technique", "ipc", "speedup_%", "stlb_impki", "stlb_dmpki",
                "stlb_miss_lat", "l2c_dtmpki", "llc_mpki"]
@@ -196,11 +184,7 @@ def main(argv: List[str] = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        results = runner.run(
-            SimJob(config_for(t), workloads, args.warmup, args.measure,
-                   label=t, topology=args.topology, engine=args.engine)
-            for t in args.techniques
-        )
+        results = runner.run(jobs)
     except MatrixError as exc:
         print(exc.report.summary(), file=sys.stderr)
         print(str(exc), file=sys.stderr)
@@ -222,10 +206,8 @@ def main(argv: List[str] = None) -> int:
             row.append(energy_report(result.stats).pj_per_instruction)
         rows.append(row)
     print(format_table(headers, rows))
-    names = "+".join(w.name for w in workloads)
     print(f"(speedup vs first technique: {args.techniques[0]}; "
-          f"topology={spec.name}, workload={names}, "
-          f"{args.measure} measured instructions)")
+          f"workload={workload.name}, {args.measure} measured instructions)")
     return 0
 
 

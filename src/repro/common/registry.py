@@ -3,8 +3,7 @@
 One registry base backs every lookup-by-name surface of the simulator:
 cache replacement policies (:mod:`repro.replacement.registry`), TLB
 replacement policies (:mod:`repro.tlb.policies.registry`) and the Table 2
-policy suites (:mod:`repro.topology.suites`).  Before the topology layer
-each of those rolled its own dict + error message; unifying them means one
+policy suites (:data:`repro.experiments.runner.SUITES`).  That means one
 registration API for extensions (``examples/custom_policy.py`` registers a
 brand-new TLB policy this way) and one "unknown name" message format whose
 candidate list always comes from the registry itself — a single source of
@@ -12,7 +11,7 @@ truth.
 
 Entries are arbitrary objects: policy registries store factory callables of
 signature ``factory(num_sets, associativity, **context)``, the suite
-registry stores :class:`~repro.topology.suites.PolicySuite` instances.
+registry stores :class:`~repro.experiments.runner.PolicySuite` instances.
 Insertion order is preserved (Table 2 ordering is meaningful).
 """
 

@@ -17,15 +17,12 @@ DESIGN.md §3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
-from typing import Union
+from typing import Dict, Sequence, Union
 
 from ..common.params import SystemConfig
 from ..common.stats import SimStats
 from ..common.types import PageSize
 from ..kernel import BatchedEngine, resolve_engine
-from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 from .cpu import Core, THREAD_TAG_SHIFT
 from .system import System
@@ -110,7 +107,6 @@ def simulate(
     warmup_instructions: int = DEFAULT_WARMUP,
     measure_instructions: int = DEFAULT_MEASURE,
     config_label: str = "",
-    topology: Union[None, str, TopologySpec] = None,
     engine: Union[None, str] = None,
 ) -> SimulationResult:
     """Run one workload on one hardware thread.
@@ -119,7 +115,7 @@ def simulate(
     :mod:`repro.kernel`); ``None`` defers to ``REPRO_ENGINE`` then the
     default.  Both engines produce bit-identical statistics.
     """
-    system = System(config, workload.size_policy, topology=topology)
+    system = System(config, workload.size_policy)
     core = Core(system, thread_id=0)
     stream = workload.record_stream()
     stats = system.stats
@@ -153,7 +149,6 @@ def simulate_smt(
     measure_instructions: int = DEFAULT_MEASURE,
     config_label: str = "",
     overlap_residual: float = 0.25,
-    topology: Union[None, str, TopologySpec] = None,
     engine: Union[None, str] = None,
 ) -> SimulationResult:
     """Co-locate two workloads on an SMT core with shared structures.
@@ -167,7 +162,7 @@ def simulate_smt(
     resolve_engine(engine)
     if len(workloads) != 2:
         raise ValueError("SMT simulation takes exactly two workloads")
-    system = System(config, _tagged_size_policy(workloads), topology=topology)
+    system = System(config, _tagged_size_policy(workloads))
     cores = [Core(system, thread_id=i) for i in range(2)]
     streams = [w.record_stream() for w in workloads]
     stats = system.stats

@@ -1,64 +1,125 @@
-"""System facade: the single-core machine, built by the topology layer.
+"""System wiring: build the simulated machine from a SystemConfig.
 
-Before the :mod:`repro.topology` package this module wired the Table 1
-hierarchy by hand; it is now a thin facade over
-:func:`repro.topology.builder.build` — the default graph is the
-``table1`` preset derived from the :class:`SystemConfig`, and any other
-single-core :class:`~repro.topology.spec.TopologySpec` (``split-stlb``,
-``no-llc``, custom graphs) drops in via the ``topology`` argument.  The
-legacy attribute surface (``l1i``/``l1d``/``l2c``/``llc``/``dram``/
-``mmu``/``walker``/``adaptive``) is preserved, so :class:`repro.core.cpu.Core`
-and every existing caller see exactly the machine they always did.
+Table 1: L1I and L1D feed a unified L2C, which feeds the LLC, which feeds
+DRAM.  The page-table walker issues its PTE reads to the L2C; the MMU
+(ITLB/DTLB in front of a unified STLB, or of a split one when
+``config.istlb`` is set, Section 6.6) sits in front of everything.
+
+:class:`CoreSlice` wires one core's private part of that machine onto a
+given LLC.  :class:`System` builds one; :class:`~repro.core.multicore.
+MulticoreSystem` builds one per core over one shared LLC and DRAM.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple
 
+from ..cache.cache import SetAssociativeCache
+from ..cache.prefetch import make_prefetcher
 from ..common import invariants
-from ..common.params import SystemConfig
+from ..common.params import CacheConfig, SystemConfig
+from ..common.stats import SimStats
 from ..common.types import PageSize
+from ..mem.dram import DRAM
+from ..ptw.page_table import PageTable
+from ..ptw.walker import PageTableWalker
+from ..replacement.registry import make_cache_policy
 from ..replacement.xptp import XPTPPolicy
-from ..topology.builder import build
-from ..topology.presets import resolve_topology
-from ..topology.spec import TopologySpec
+from ..tlb.hierarchy import MMU
+from .adaptive import AdaptiveXPTPController
 
 SizePolicy = Callable[[int], PageSize]
+
+
+def _make_cache(
+    config: SystemConfig,
+    cache_config: CacheConfig,
+    policy: str,
+    next_level: object,
+    stats: SimStats,
+    stats_name: str,
+) -> SetAssociativeCache:
+    """One cache level; every policy gets xPTP's K and takes what it needs."""
+    return SetAssociativeCache(
+        cache_config,
+        make_cache_policy(
+            policy, cache_config.num_sets, cache_config.associativity,
+            xptp_k=config.xptp.k,
+        ),
+        next_level,
+        stats.level(stats_name),
+        make_prefetcher(cache_config.prefetcher),
+    )
+
+
+def shared_levels(config: SystemConfig, stats: SimStats) -> Tuple[DRAM, SetAssociativeCache]:
+    """DRAM and the LLC on top of it: the levels every core shares."""
+    dram = DRAM(config.dram, stats.level("DRAM"))
+    return dram, _make_cache(config, config.llc, config.llc_policy, dram, stats, "LLC")
+
+
+class CoreSlice:
+    """One core's private structures, wired onto a shared LLC and DRAM.
+
+    Builds L2C, L1I, L1D, the walker and the MMU on top of ``llc``.
+    ``suffix`` names this core's cache stats buckets (``L2C_0``); the TLB
+    buckets stay shared (``STLB``) so the report aggregates every core.
+    A slice carries everything :class:`repro.core.cpu.Core` reads from its
+    machine, so a multicore core runs directly on its slice.
+    """
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        stats: SimStats,
+        llc: SetAssociativeCache,
+        dram: DRAM,
+        page_table: PageTable,
+        suffix: str = "",
+    ) -> None:
+        self.config = config
+        self.stats = stats
+        self.llc = llc
+        self.dram = dram
+        self.l2c = _make_cache(config, config.l2c, config.l2c_policy, llc, stats, f"L2C{suffix}")
+        self.l1i = _make_cache(config, config.l1i, "lru", self.l2c, stats, f"L1I{suffix}")
+        self.l1d = _make_cache(config, config.l1d, "lru", self.l2c, stats, f"L1D{suffix}")
+        self.walker = PageTableWalker(page_table, config.psc, self.l2c, stats)
+        self.mmu = MMU(config, self.walker, stats)
+        xptp = next(
+            (c.policy for c in (self.l2c, llc) if isinstance(c.policy, XPTPPolicy)), None
+        )
+        self.adaptive = AdaptiveXPTPController(config.adaptive, self.mmu, xptp)
+
+    def reset_stats(self) -> None:
+        """Reset the structure-owned counters of this core's private part."""
+        self.adaptive.reset_stats()
+        self.mmu.reset_stats()
+        self.walker.reset_stats()
+        for cache in (self.l2c, self.l1i, self.l1d):
+            cache.reset_stats()
 
 
 class System:
     """The full memory system shared by one core (or two SMT threads)."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        size_policy: Optional[SizePolicy] = None,
-        topology: Union[None, str, TopologySpec] = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig, size_policy: Optional[SizePolicy] = None) -> None:
         self.config = config
-        spec = resolve_topology(topology, config)
-        if spec.num_cores != 1:
-            raise ValueError(
-                f"System is single-core; topology {spec.name!r} has "
-                f"{spec.num_cores} cores (use MulticoreSystem)"
-            )
-        built = build(spec, config, size_policy=size_policy)
-        self.topology = built
-        self.stats = built.stats
-        self.dram = built.dram
-        self.page_table = built.page_table
-
-        core = built.cores[0]
+        self.stats = SimStats()
+        self.dram, self.llc = shared_levels(config, self.stats)
+        self.page_table = PageTable(size_policy)
+        core = CoreSlice(config, self.stats, self.llc, self.dram, self.page_table)
+        self.l2c = core.l2c
         self.l1i = core.l1i
         self.l1d = core.l1d
-        self.l2c = core.l2c
-        self.llc = core.llc
-        #: Every cache of the machine, in build order (L2C/LLC views above
-        #: are positional conveniences; exports and invariants iterate this).
-        self.caches = tuple(built.caches.values())
+        #: Every cache of the machine, in build order.
+        self.caches = (self.llc, self.l2c, self.l1i, self.l1d)
+        #: Every TLB of the machine, in build order.
+        self.tlbs = core.mmu.tlbs
         self.walker = core.walker
         self.mmu = core.mmu
         self.adaptive = core.adaptive
+        self._core = core
 
     def reset_stats(self) -> None:
         """Reset every statistic at the warmup/measurement boundary.
@@ -70,12 +131,13 @@ class System:
         (cache contents, recency stacks, outstanding MSHR entries) is kept —
         warming that state is the point of the warmup window.
         """
-        self.topology.reset_stats()
+        self.stats.reset()
+        self._core.reset_stats()
+        self.dram.reset_stats()
+        self.llc.reset_stats()
         if invariants.enabled():
             invariants.check_no_leaked_mshr_entries(self)
 
     @property
     def xptp_policy(self) -> Optional[XPTPPolicy]:
-        if self.l2c is not None and isinstance(self.l2c.policy, XPTPPolicy):
-            return self.l2c.policy
-        return self.topology.cores[0].xptp
+        return self.adaptive.xptp_policy

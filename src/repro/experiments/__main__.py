@@ -5,10 +5,7 @@ fig12, fig13, fig14, ablation_params, ablation_adaptive,
 ext_stlb_prefetch, or ``all``.  With ``--csv-dir DIR`` each reproduced
 figure is also written to ``DIR/<figure>.csv``.  ``--workers N`` fans
 the simulations of each figure over N processes (default: all cores);
-``--cache-dir DIR`` reuses previously computed simulation results;
-``--topology NAME`` runs every figure on a non-default machine graph
-(a preset such as ``split-stlb`` or ``no-llc`` — see
-``repro.topology.presets``).
+``--cache-dir DIR`` reuses previously computed simulation results.
 
 Fault tolerance (see ``docs/robustness.md``): ``--failure-policy
 fail-fast|continue`` (continue finishes the whole matrix and reports the
@@ -71,9 +68,7 @@ RUNNERS = {
     "fig12": fig12_itlb_sensitivity.run,
     "fig13": fig13_large_pages.run,
     "fig14": fig14_split_stlb.run,
-    "ablation_params": lambda **kw: [
-        ablation_params.run_nm(**kw), ablation_params.run_k(**kw)
-    ],
+    "ablation_params": lambda: [ablation_params.run_nm(), ablation_params.run_k()],
     "ablation_adaptive": ablation_adaptive.run,
     "ext_stlb_prefetch": ext_stlb_prefetch.run,
 }
@@ -102,7 +97,6 @@ def main(argv) -> int:
         csv_dir = _take_option(argv, "--csv-dir")
         workers = _take_option(argv, "--workers")
         cache_dir = _take_option(argv, "--cache-dir")
-        topology = _take_option(argv, "--topology")
         failure_policy = _take_option(argv, "--failure-policy")
         max_retries = _take_option(argv, "--max-retries")
         cell_timeout = _take_option(argv, "--cell-timeout")
@@ -120,16 +114,6 @@ def main(argv) -> int:
                 raise _OptionError(
                     f"--cell-timeout takes seconds, got {cell_timeout!r}"
                 ) from None
-        if topology is not None:
-            # Fail fast on a bad preset name before any simulation runs.
-            from ..common.params import scaled_config
-            from ..topology.presets import resolve_topology
-            from ..topology.spec import TopologyError
-
-            try:
-                resolve_topology(topology, scaled_config())
-            except TopologyError as exc:
-                raise _OptionError(str(exc)) from None
         if workers is None:
             workers = os.cpu_count() or 1
         elif not (workers.isdigit() or workers == "auto"):
@@ -162,13 +146,12 @@ def main(argv) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     previous = set_default_runner(runner)
-    run_kwargs = {} if topology is None else {"topology": topology}
     failed_figures = []
     try:
         for name in names:
             start = time.time()
             try:
-                figures = _results(RUNNERS[name](**run_kwargs))
+                figures = _results(RUNNERS[name]())
             except MatrixError as exc:
                 # Collect-and-continue: the matrix finished, some cells
                 # failed.  Report them and move on to the next figure.

@@ -34,7 +34,6 @@ def build_jobs(
     warmup: int = WARMUP,
     measure: int = 300_000,
     phase_records: int = 12_000,
-    topology: Optional[str] = None,
 ) -> list:
     """The ablation's job matrix, without running it."""
     wl = PhasedWorkload("phased", seed=7, phase_records=phase_records)
@@ -44,15 +43,15 @@ def build_jobs(
         adaptive=AdaptiveConfig(enabled=False),
     )
     jobs = [
-        SimJob(base, (wl,), warmup, measure, topology=topology, label="lru"),
-        SimJob(always_on, (wl,), warmup, measure, topology=topology, label="always-on"),
+        SimJob(base, (wl,), warmup, measure, label="lru"),
+        SimJob(always_on, (wl,), warmup, measure, label="always-on"),
     ]
     for t1 in t1_values:
         cfg = replace(
             base.with_policies(stlb="itp", l2c="xptp"),
             adaptive=AdaptiveConfig(enabled=True, t1_misses=t1),
         )
-        jobs.append(SimJob(cfg, (wl,), warmup, measure, topology=topology, label=f"adaptive T1={t1}"))
+        jobs.append(SimJob(cfg, (wl,), warmup, measure, label=f"adaptive T1={t1}"))
     return jobs
 
 
@@ -62,7 +61,6 @@ def run(
     measure: int = 300_000,
     phase_records: int = 12_000,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Ablation adaptive",
@@ -76,7 +74,7 @@ def run(
     )
     jobs = build_jobs(
         t1_values, warmup=warmup, measure=measure,
-        phase_records=phase_records, topology=topology,
+        phase_records=phase_records,
     )
     results = run_jobs(jobs, runner)
     baseline = results[0].ipc

@@ -26,7 +26,6 @@ def run_nm(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Ablation N/M",
@@ -36,14 +35,14 @@ def run_nm(
     )
     base = scaled_config()
     workloads = server_suite(server_count)
-    jobs = [SimJob(base, (wl,), warmup, measure, topology=topology, label="lru") for wl in workloads]
+    jobs = [SimJob(base, (wl,), warmup, measure, label="lru") for wl in workloads]
     for n, m in nm_values:
         cfg = replace(
             base.with_policies(stlb="itp"),
             itp=ITPConfig(insert_depth_n=n, data_promote_m=m),
         )
         jobs.extend(
-            SimJob(cfg, (wl,), warmup, measure, topology=topology, label=f"itp N={n} M={m}")
+            SimJob(cfg, (wl,), warmup, measure, label=f"itp N={n} M={m}")
             for wl in workloads
         )
     results = iter(run_jobs(jobs, runner))
@@ -68,7 +67,6 @@ def run_k(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Ablation K",
@@ -78,13 +76,13 @@ def run_k(
     )
     base = scaled_config()
     workloads = server_suite(server_count)
-    jobs = [SimJob(base, (wl,), warmup, measure, topology=topology, label="lru") for wl in workloads]
+    jobs = [SimJob(base, (wl,), warmup, measure, label="lru") for wl in workloads]
     for k in k_values:
         cfg = replace(
             base.with_policies(stlb="itp", l2c="xptp"), xptp=XPTPConfig(k=k)
         )
         jobs.extend(
-            SimJob(cfg, (wl,), warmup, measure, topology=topology, label=f"itp+xptp K={k}")
+            SimJob(cfg, (wl,), warmup, measure, label=f"itp+xptp K={k}")
             for wl in workloads
         )
     results = iter(run_jobs(jobs, runner))

@@ -31,7 +31,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Extension: STLB prefetching",
@@ -44,11 +43,11 @@ def run(
     )
     base = scaled_config()
     workloads = server_suite(server_count)
-    jobs = [SimJob(base, (wl,), warmup, measure, topology=topology, label="lru") for wl in workloads]
+    jobs = [SimJob(base, (wl,), warmup, measure, label="lru") for wl in workloads]
     for name, policies, prefetcher in schemes:
         cfg = replace(base.with_policies(**policies), stlb_prefetcher=prefetcher)
         jobs.extend(
-            SimJob(cfg, (wl,), warmup, measure, topology=topology, label=name) for wl in workloads
+            SimJob(cfg, (wl,), warmup, measure, label=name) for wl in workloads
         )
     results = iter(run_jobs(jobs, runner))
     baseline = {wl.name: next(results).ipc for wl in workloads}

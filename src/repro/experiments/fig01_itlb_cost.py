@@ -30,7 +30,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 1",
@@ -49,7 +48,7 @@ def run(
         cfg = replace(scaled_config(), itlb=itlb)
         for label, workloads in suites:
             jobs.extend(
-                SimJob(cfg, (wl,), warmup, measure, topology=topology, label=f"itlb{scaled_entries}")
+                SimJob(cfg, (wl,), warmup, measure, label=f"itlb{scaled_entries}")
                 for wl in workloads
             )
     results = iter(run_jobs(jobs, runner))

@@ -24,7 +24,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 2",
@@ -38,7 +37,7 @@ def run(
         ("spec", spec_suite(spec_count)),
     ]
     jobs = [
-        SimJob(cfg, (wl,), warmup, measure, topology=topology, label=label)
+        SimJob(cfg, (wl,), warmup, measure, label=label)
         for label, workloads in suites
         for wl in workloads
     ]

@@ -26,7 +26,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 3",
@@ -37,11 +36,11 @@ def run(
     base = scaled_config()
     workloads = server_suite(server_count)
     # Baseline and every P value go out as one batch.
-    jobs = [SimJob(base, (wl,), warmup, measure, topology=topology, label="lru") for wl in workloads]
+    jobs = [SimJob(base, (wl,), warmup, measure, label="lru") for wl in workloads]
     for p in p_values:
         cfg = replace(base.with_policies(stlb="problru"), problru_p=p)
         jobs.extend(
-            SimJob(cfg, (wl,), warmup, measure, topology=topology, label=f"problru_p{p}")
+            SimJob(cfg, (wl,), warmup, measure, label=f"problru_p{p}")
             for wl in workloads
         )
     results = iter(run_jobs(jobs, runner))

@@ -24,7 +24,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 4",
@@ -43,7 +42,7 @@ def run(
     policies = (("LRU", base), ("KeepInstr(P=0.8)", keep_instr))
 
     jobs = [
-        SimJob(cfg, (wl,), warmup, measure, topology=topology, label=policy_name)
+        SimJob(cfg, (wl,), warmup, measure, label=policy_name)
         for policy_name, cfg in policies
         for wl in workloads
     ]

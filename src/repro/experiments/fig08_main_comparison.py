@@ -33,11 +33,10 @@ def run_single_thread(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> Comparison:
     techniques = list(techniques or POLICY_MATRIX)
     return compare_single_thread(
-        techniques, server_suite(server_count), None, warmup, measure, runner=runner, topology=topology
+        techniques, server_suite(server_count), None, warmup, measure, runner=runner
     )
 
 
@@ -47,11 +46,10 @@ def run_smt(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> Comparison:
     techniques = list(techniques or POLICY_MATRIX)
     return compare_smt(
-        techniques, smt_mixes(per_category), None, warmup, measure, runner=runner, topology=topology
+        techniques, smt_mixes(per_category), None, warmup, measure, runner=runner
     )
 
 
@@ -100,7 +98,6 @@ def smt_category_breakdown(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     """Geomean IPC improvement per SMT mix category (Section 5.2).
 
@@ -110,7 +107,7 @@ def smt_category_breakdown(
     """
     techniques = list(techniques or ("lru", "tdrrip", "itp", "itp+xptp"))
     mixes = smt_mixes(per_category)
-    comparison = compare_smt(techniques, mixes, None, warmup, measure, runner=runner, topology=topology)
+    comparison = compare_smt(techniques, mixes, None, warmup, measure, runner=runner)
     by_category = {}
     for mix in mixes:
         by_category.setdefault(mix.category, []).append(mix.name)
@@ -140,10 +137,9 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> Sequence[FigureResult]:
-    single = run_single_thread(None, server_count, warmup, measure, runner=runner, topology=topology)
-    smt = run_smt(None, per_category, warmup, measure, runner=runner, topology=topology)
+    single = run_single_thread(None, server_count, warmup, measure, runner=runner)
+    smt = run_smt(None, per_category, warmup, measure, runner=runner)
     return (
         as_figure(single, "Figure 8a", "IPC improvement vs LRU, single hardware thread"),
         as_figure(smt, "Figure 8b", "IPC improvement vs LRU, two hardware threads (SMT)"),

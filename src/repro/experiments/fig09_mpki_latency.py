@@ -60,14 +60,13 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> Sequence[FigureResult]:
     techniques = list(techniques or POLICY_MATRIX)
     single = compare_single_thread(
-        techniques, server_suite(server_count), None, warmup, measure, runner=runner, topology=topology
+        techniques, server_suite(server_count), None, warmup, measure, runner=runner
     )
     smt = compare_smt(
-        techniques, smt_mixes(per_category), None, warmup, measure, runner=runner, topology=topology
+        techniques, smt_mixes(per_category), None, warmup, measure, runner=runner
     )
     return (
         as_figure(single, "Figure 9 (1T)", "MPKI / avg miss latency per level, single thread"),

@@ -23,7 +23,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 10",
@@ -32,10 +31,10 @@ def run(
         notes=["paper: iTP reduces iMPKI and increases dMPKI in both scenarios"],
     )
     single = compare_single_thread(
-        TECHNIQUES, server_suite(server_count), None, warmup, measure, runner=runner, topology=topology
+        TECHNIQUES, server_suite(server_count), None, warmup, measure, runner=runner
     )
     smt = compare_smt(
-        TECHNIQUES, smt_mixes(per_category), None, warmup, measure, runner=runner, topology=topology
+        TECHNIQUES, smt_mixes(per_category), None, warmup, measure, runner=runner
     )
     for scenario, comparison in (("1T", single), ("2T", smt)):
         for technique in TECHNIQUES:

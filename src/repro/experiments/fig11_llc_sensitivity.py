@@ -29,7 +29,6 @@ def run(
     measure: int = MEASURE,
     llc_policies: Sequence[str] = LLC_POLICIES,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 11",
@@ -42,10 +41,10 @@ def run(
     for llc in llc_policies:
         base = scaled_config().with_policies(llc=llc)
         single = compare_single_thread(
-            TECHNIQUES, server_suite(server_count), base, warmup, measure, runner=runner, topology=topology
+            TECHNIQUES, server_suite(server_count), base, warmup, measure, runner=runner
         )
         smt = compare_smt(
-            TECHNIQUES, smt_mixes(per_category), base, warmup, measure, runner=runner, topology=topology
+            TECHNIQUES, smt_mixes(per_category), base, warmup, measure, runner=runner
         )
         for scenario, comparison in (("1T", single), ("2T", smt)):
             for technique in ("itp", "itp+xptp"):

@@ -30,7 +30,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 12",
@@ -45,10 +44,10 @@ def run(
         itlb = TLBConfig("ITLB", entries=scaled_entries, associativity=4, latency=1)
         base = replace(scaled_config(), itlb=itlb)
         single = compare_single_thread(
-            TECHNIQUES, server_suite(server_count), base, warmup, measure, runner=runner, topology=topology
+            TECHNIQUES, server_suite(server_count), base, warmup, measure, runner=runner
         )
         smt = compare_smt(
-            TECHNIQUES, smt_mixes(per_category), base, warmup, measure, runner=runner, topology=topology
+            TECHNIQUES, smt_mixes(per_category), base, warmup, measure, runner=runner
         )
         for scenario, comparison in (("1T", single), ("2T", smt)):
             for technique in ("itp", "itp+xptp"):

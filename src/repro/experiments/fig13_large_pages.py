@@ -27,7 +27,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 13",
@@ -42,12 +41,12 @@ def run(
         single = compare_single_thread(
             TECHNIQUES,
             server_suite(server_count, large_page_percent=pct),
-            None, warmup, measure, runner=runner, topology=topology,
+            None, warmup, measure, runner=runner,
         )
         smt = compare_smt(
             TECHNIQUES,
             smt_mixes(per_category, large_page_percent=pct),
-            None, warmup, measure, runner=runner, topology=topology,
+            None, warmup, measure, runner=runner,
         )
         for scenario, comparison in (("1T", single), ("2T", smt)):
             for technique in TECHNIQUES[1:]:

@@ -65,7 +65,6 @@ def run(
     warmup: int = WARMUP,
     measure: int = MEASURE,
     runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
 ) -> FigureResult:
     result = FigureResult(
         figure="Figure 14",
@@ -79,7 +78,7 @@ def run(
     workloads = server_suite(server_count)
     designs = _designs(base_entries)
     jobs = [
-        SimJob(cfg, (wl,), warmup, measure, topology=topology, label=label)
+        SimJob(cfg, (wl,), warmup, measure, label=label)
         for label, cfg in designs
         for wl in workloads
     ]

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..common.params import SystemConfig, scaled_config
+from ..common.registry import Registry
 from ..core.simulator import SimulationResult
-from ..topology.spec import TopologySpec
-from ..topology.suites import SUITES, suite_for
 from ..workloads.base import SyntheticWorkload
 from ..workloads.mixes import SMTMix
 from ..fabric import ParallelRunner, SimJob, run_iter
@@ -26,10 +25,62 @@ from ..fabric import ParallelRunner, SimJob, run_iter
 WARMUP = 60_000
 MEASURE = 200_000
 
+
+@dataclass(frozen=True)
+class PolicySuite:
+    """One Table 2 technique: a named set of per-structure policies."""
+
+    name: str
+    stlb: Optional[str] = None
+    l2c: Optional[str] = None
+    llc: Optional[str] = None
+    description: str = ""
+
+    def policies(self) -> Dict[str, str]:
+        """The non-default structure → policy assignments."""
+        return {
+            key: value
+            for key, value in (("stlb", self.stlb), ("l2c", self.l2c), ("llc", self.llc))
+            if value is not None
+        }
+
+    def apply(self, config: SystemConfig) -> SystemConfig:
+        """A copy of ``config`` with this suite's policies substituted."""
+        return config.with_policies(stlb=self.stlb, l2c=self.l2c, llc=self.llc)
+
+    def summary(self) -> str:
+        """Short human-readable policy listing for ``--list`` output."""
+        policies = self.policies()
+        return ", ".join(f"{k}={v}" for k, v in policies.items()) or "all-LRU baseline"
+
+
+#: The process-wide technique registry, in Table 2 order.
+SUITES: Registry[PolicySuite] = Registry("technique")
+
+for _suite in (
+    PolicySuite("lru", description="all-LRU baseline"),
+    PolicySuite("tdrrip", l2c="tdrrip", description="TLB-aware DRRIP at the L2C"),
+    PolicySuite("ptp", l2c="ptp", description="PTE-priority insertion at the L2C"),
+    PolicySuite("chirp", stlb="chirp", description="history-based instruction reuse STLB"),
+    PolicySuite("chirp+tdrrip", stlb="chirp", l2c="tdrrip",
+                description="CHiRP with TLB-aware DRRIP"),
+    PolicySuite("chirp+ptp", stlb="chirp", l2c="ptp", description="CHiRP with PTP"),
+    PolicySuite("itp", stlb="itp", description="instruction-aware STLB replacement"),
+    PolicySuite("itp+tdrrip", stlb="itp", l2c="tdrrip", description="iTP with TLB-aware DRRIP"),
+    PolicySuite("itp+ptp", stlb="itp", l2c="ptp", description="iTP with PTP"),
+    PolicySuite("itp+xptp", stlb="itp", l2c="xptp",
+                description="the paper's full cooperative proposal"),
+):
+    SUITES.register(_suite.name, _suite)
+
+
+def suite_for(technique: str) -> PolicySuite:
+    """Look up a Table 2 technique; unknown names list every known suite."""
+    return SUITES.get(technique)
+
+
 #: Table 2 of the paper: technique -> replacement policy per structure
-#: (structures not listed use LRU).  Derived from the policy-suite registry
-#: (:data:`repro.topology.suites.SUITES`) — the single source of truth for
-#: technique names, ordering and per-structure assignments.
+#: (structures not listed use LRU), derived from :data:`SUITES`.
 POLICY_MATRIX: "OrderedDict[str, Dict[str, str]]" = OrderedDict(
     (name, suite.policies()) for name, suite in SUITES.items()
 )
@@ -118,17 +169,14 @@ def compare_single_thread(
     measure: int = MEASURE,
     baseline: str = "lru",
     runner: Optional[ParallelRunner] = None,
-    topology: Union[None, str, TopologySpec] = None,
 ) -> Comparison:
     """Run each technique over each workload on one hardware thread.
 
     The full technique x workload matrix is fanned out through ``runner``
     (default: the process-wide runner — serial unless configured otherwise).
-    ``topology`` selects a non-default machine graph by preset name or spec.
     """
     jobs = [
-        SimJob(config_for(technique, base), (wl,), warmup, measure,
-               label=technique, topology=topology)
+        SimJob(config_for(technique, base), (wl,), warmup, measure, label=technique)
         for technique in techniques
         for wl in workloads
     ]
@@ -144,12 +192,10 @@ def compare_smt(
     measure: int = MEASURE,
     baseline: str = "lru",
     runner: Optional[ParallelRunner] = None,
-    topology: Union[None, str, TopologySpec] = None,
 ) -> Comparison:
     """Run each technique over each two-thread mix on the SMT core."""
     jobs = [
-        SimJob(config_for(technique, base), mix.workloads, warmup, measure,
-               label=technique, topology=topology)
+        SimJob(config_for(technique, base), mix.workloads, warmup, measure, label=technique)
         for technique in techniques
         for mix in mixes
     ]

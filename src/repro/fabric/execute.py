@@ -19,7 +19,6 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.multicore import simulate_multicore
 from ..core.simulator import SimulationResult, simulate, simulate_smt
 from ..faults import inject as fault_inject
 from ..faults import plan as fault_plans
@@ -64,21 +63,15 @@ def execute_cell(
             # requeued cells run clean and every chaos run converges.
             fault_inject.maybe_crash(job.cell)
             fault_inject.maybe_hang(job.cell)
-        topology = job.resolved_topology() if job.topology is not None else None
-        if topology is not None and topology.num_cores > 1:
-            result = simulate_multicore(
-                job.config, list(job.workloads), job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
-            )
-        elif len(job.workloads) == 1:
+        if len(job.workloads) == 1:
             result = simulate(
                 job.config, job.workloads[0], job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
+                config_label=job.label, engine=job.engine,
             )
         else:
             result = simulate_smt(
                 job.config, list(job.workloads), job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
+                config_label=job.label, engine=job.engine,
             )
     return result, time.perf_counter() - start
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from ..common.params import SystemConfig
 from ..kernel import resolve_engine
-from ..topology.presets import resolve_topology
-from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 
 #: Bump to invalidate every cached result (e.g. after a simulator behaviour
@@ -50,12 +48,12 @@ class CellTimeout(RuntimeError):
 class SimJob:
     """One independent simulation: a ``(technique, workload)`` cell.
 
-    ``workloads`` holds one workload (``simulate``), two for SMT
-    (``simulate_smt``) or one per core of a multi-core ``topology``
-    (``simulate_multicore``).  ``topology`` is ``None`` (Table 1), a preset
-    name or a :class:`TopologySpec`.  ``engine`` picks the
-    :mod:`repro.kernel` engine; ``None`` defers to ``REPRO_ENGINE``, so it
-    resolves on the executing worker and is pinned into the cache key.
+    ``workloads`` holds one workload (``simulate``) or two for SMT
+    (``simulate_smt``).  ``warmup`` and ``measure`` are the instruction
+    windows; an empty measurement window has no IPC, so it is rejected.
+    ``engine`` picks the :mod:`repro.kernel` engine; ``None`` defers to
+    ``REPRO_ENGINE``, so it resolves on the executing worker and is pinned
+    into the cache key.
     """
 
     config: SystemConfig
@@ -63,19 +61,16 @@ class SimJob:
     warmup: int
     measure: int
     label: str = ""
-    topology: Union[None, str, TopologySpec] = None
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.workloads:
-            raise ValueError("SimJob needs at least one workload")
-        resolve_engine(self.engine)  # validate eagerly, at job-build time
-        if self.topology is None and len(self.workloads) > 2:
+        if not 1 <= len(self.workloads) <= 2:
             raise ValueError("SimJob takes one workload (1T) or two (SMT)")
-
-    def resolved_topology(self) -> TopologySpec:
-        """The job's machine graph as a spec (default graph when ``None``)."""
-        return resolve_topology(self.topology, self.config)
+        if self.warmup < 0:
+            raise ValueError(f"SimJob warmup must be >= 0, got {self.warmup}")
+        if self.measure <= 0:
+            raise ValueError(f"SimJob measure must be > 0, got {self.measure}")
+        resolve_engine(self.engine)  # validate eagerly, at job-build time
 
     @property
     def workload_name(self) -> str:
@@ -93,11 +88,10 @@ def single(
     warmup: int,
     measure: int,
     label: str = "",
-    topology: Union[None, str, TopologySpec] = None,
     engine: Optional[str] = None,
 ) -> SimJob:
     """Convenience constructor for a single-thread job."""
-    return SimJob(config, (workload,), warmup, measure, label, topology, engine)
+    return SimJob(config, (workload,), warmup, measure, label, engine)
 
 
 def smt(
@@ -106,11 +100,10 @@ def smt(
     warmup: int,
     measure: int,
     label: str = "",
-    topology: Union[None, str, TopologySpec] = None,
     engine: Optional[str] = None,
 ) -> SimJob:
     """Convenience constructor for a two-thread SMT job."""
-    return SimJob(config, tuple(workloads), warmup, measure, label, topology, engine)
+    return SimJob(config, tuple(workloads), warmup, measure, label, engine)
 
 
 def workload_fingerprint(workload: SyntheticWorkload) -> str:
@@ -130,8 +123,7 @@ def job_key(job: SimJob) -> str:
     """Stable content address for a job.
 
     The config is keyed by its ``repr`` (a tree of frozen dataclasses that
-    lists every field); the topology by its resolved spec's content hash,
-    so a preset name and the equivalent spec share one key; the engine
+    lists every field, so it fixes the whole machine); the engine
     *resolved*, so deferring to ``REPRO_ENGINE`` keys like pinning that
     engine, while the two engines never share cache entries.
     """
@@ -142,7 +134,6 @@ def job_key(job: SimJob) -> str:
         f"measure={job.measure}",
         f"engine={resolve_engine(job.engine)}",
         f"config={job.config!r}",
-        f"topology={job.resolved_topology().content_hash()}",
     ]
     parts.extend(workload_fingerprint(w) for w in job.workloads)
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()

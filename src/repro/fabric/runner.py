@@ -168,11 +168,13 @@ class ParallelRunner:
         if workers is None or workers == "auto":
             workers = os.cpu_count() or 1
         try:
-            self.workers = max(1, int(workers))
+            self.workers = int(workers)
         except (TypeError, ValueError):
+            self.workers = 0
+        if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be a positive integer or 'auto', got {workers!r}"
-            ) from None
+            )
         if progress is None:
             progress = os.environ.get("REPRO_PROGRESS", "") == "1"
         if policy is None:
@@ -480,9 +482,12 @@ def _env(name: str, default: Any, parse: Callable[[str], Any], expected: str) ->
 
 def _env_workers() -> int:
     def parse(value: str) -> int:
-        return (os.cpu_count() or 1) if value.lower() == "auto" else int(value)
+        workers = (os.cpu_count() or 1) if value.lower() == "auto" else int(value)
+        if workers < 1:
+            raise ValueError(value)
+        return workers
 
-    return max(1, _env("REPRO_WORKERS", 1, parse, "a positive integer or 'auto'"))
+    return _env("REPRO_WORKERS", 1, parse, "a positive integer or 'auto'")
 
 
 def _jitter(cell: str, attempt: int) -> float:

@@ -227,7 +227,7 @@ class BatchedEngine:
         # The fast tiers replay only the exact baseline L1 behaviours: LRU
         # recency bumps and the baseline prefetcher windows.  Any other
         # policy/prefetcher type — subclasses included — runs whole-run
-        # scalar, as does a topology whose L1 hit latency exceeds the
+        # scalar, as does a machine whose L1 hit latency exceeds the
         # Table 1 figure the core's stall model subtracts.
         self._fast_ok = (
             type(itlb.policy) is TLBLRUPolicy

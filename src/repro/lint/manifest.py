@@ -123,16 +123,14 @@ STATS_BEARING: FrozenSet[str] = frozenset(
 #: The one module allowed to construct/mutate Table 1 parameters (RPR005).
 PARAMS_RELKEY = "common/params.py"
 
-#: Hardware leaf-structure constructors that only the topology layer may
-#: call directly (RPR006).  Everything else goes through a
-#: :class:`TopologySpec` + ``build()`` (or the sanctioned helpers in
-#: ``topology/structures.py``), so machine shape stays declarative.
-TOPOLOGY_CONSTRUCTORS: FrozenSet[str] = frozenset(
+#: Hardware leaf-structure constructors that only the machine wiring may
+#: call directly (RPR006).
+LEAF_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {"SetAssociativeCache", "TLB", "DRAM"}
 )
 
-#: Relkey prefixes exempt from RPR006 — the sanctioned construction layer.
-TOPOLOGY_RELKEY_PREFIXES = ("topology/",)
+#: Relkeys exempt from RPR006: the modules that wire the machine.
+WIRING_RELKEYS = frozenset({"core/system.py", "tlb/hierarchy.py"})
 
 #: Relkey of the stats schema module RPR004 validates counters against.
 STATS_RELKEY = "common/stats.py"

@@ -6,7 +6,7 @@ from typing import List
 
 from .allocations import AllocationRule
 from .base import Rule
-from .construction import TopologyConstructionRule
+from .construction import ConstructionRule
 from .effects_parity import EffectParityRule
 from .enumcmp import EnumComparisonRule
 from .manifest_liveness import ManifestLivenessRule
@@ -24,7 +24,7 @@ def all_rules() -> List[Rule]:
         EnumComparisonRule(),
         StatsResetRule(),
         ParamsImmutabilityRule(),
-        TopologyConstructionRule(),
+        ConstructionRule(),
         EffectParityRule(),
         WorkerSafetyRule(),
         ManifestLivenessRule(),
@@ -33,6 +33,7 @@ def all_rules() -> List[Rule]:
 
 __all__ = [
     "AllocationRule",
+    "ConstructionRule",
     "EffectParityRule",
     "EnumComparisonRule",
     "ManifestLivenessRule",
@@ -40,7 +41,6 @@ __all__ = [
     "Rule",
     "SlotsRule",
     "StatsResetRule",
-    "TopologyConstructionRule",
     "WorkerSafetyRule",
     "all_rules",
 ]

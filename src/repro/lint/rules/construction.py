@@ -1,14 +1,14 @@
-"""RPR006 — hardware leaf structures are built only by the topology layer.
+"""RPR006 — hardware leaf structures are built only by the machine wiring.
 
-The machine graph is declarative: :class:`repro.topology.spec.TopologySpec`
-describes it, :func:`repro.topology.builder.build` realizes it, and the
-sanctioned constructors in ``repro/topology/structures.py`` are the only
-place :class:`SetAssociativeCache`, :class:`TLB` or :class:`DRAM` are
-instantiated directly.  A direct construction anywhere else in ``src/repro``
-re-introduces hand wiring — the exact duplication the topology refactor
-removed — and bypasses the policy-context and stats-bucket conventions the
-builder guarantees, so it is flagged.  Tests and examples are not linted by
-CI; genuinely sanctioned sites elsewhere carry ``# repro: allow[RPR006]``.
+:class:`SetAssociativeCache`, :class:`TLB` and :class:`DRAM` are
+instantiated directly in exactly two modules: ``core/system.py`` wires the
+caches and DRAM of the Table 1 machine (and, through ``CoreSlice``, of the
+N-core machine), and ``tlb/hierarchy.py`` builds each MMU's TLBs from the
+config.  A construction anywhere else in ``src/repro`` is a second, hand
+wiring of the machine that bypasses the policy-context and stats-bucket
+conventions those two modules keep, so it is flagged.  Tests and examples
+are not linted by CI; genuinely sanctioned sites elsewhere carry
+``# repro: allow[RPR006]``.
 """
 
 from __future__ import annotations
@@ -31,25 +31,25 @@ def _called_name(node: ast.Call) -> Optional[str]:
     return None
 
 
-class TopologyConstructionRule(Rule):
+class ConstructionRule(Rule):
     code = "RPR006"
-    summary = "hardware leaf structures are constructed only by repro.topology"
+    summary = "hardware leaf structures are constructed only by the machine wiring"
 
     def check(self, files: Sequence[FileContext]) -> Iterator[Diagnostic]:
         for ctx in files:
             if ctx.tree is None:
                 continue
-            if ctx.relkey.startswith(manifest.TOPOLOGY_RELKEY_PREFIXES):
+            if ctx.relkey in manifest.WIRING_RELKEYS:
                 continue
             for node in ast.walk(ctx.tree):
                 if (
                     isinstance(node, ast.Call)
-                    and _called_name(node) in manifest.TOPOLOGY_CONSTRUCTORS
+                    and _called_name(node) in manifest.LEAF_CONSTRUCTORS
                 ):
                     yield self.diag(
                         ctx,
                         node.lineno,
                         f"direct {_called_name(node)}(...) construction outside "
-                        "repro.topology; describe the structure in a TopologySpec "
-                        "(or use topology.structures helpers) instead",
+                        "the machine wiring (core/system.py, tlb/hierarchy.py); "
+                        "build the machine through System or MulticoreSystem",
                     )

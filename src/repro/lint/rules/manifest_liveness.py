@@ -6,7 +6,7 @@ false-fire:
 
 * **(a) liveness** — every ``HOT_FUNCTIONS`` and ``WORKER_ENTRY_POINTS``
   entry (and every name in ``HOT_CLASSES``/``STATS_BEARING``/
-  ``ENUM_CLASSES``/``TOPOLOGY_CONSTRUCTORS``) must resolve to a real
+  ``ENUM_CLASSES``/``LEAF_CONSTRUCTORS``) must resolve to a real
   definition.  A renamed or deleted function used to skip silently,
   quietly shrinking the RPR001 allocation contract (or RPR008's
   worker-determinism closure); now it is a hard error anchored at the
@@ -125,7 +125,7 @@ class ManifestLivenessRule(Rule):
                 manifest.HOT_CLASSES
                 | manifest.STATS_BEARING
                 | manifest.ENUM_CLASSES
-                | manifest.TOPOLOGY_CONSTRUCTORS
+                | manifest.LEAF_CONSTRUCTORS
             )
         )
         for name in sorted(hot_names - class_names):

@@ -17,20 +17,16 @@ access type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from ..cache.mshr import make_mshr_file
-from ..common.params import SystemConfig
+from ..common.params import SystemConfig, TLBConfig
 from ..common.stats import SimStats
 from ..common.types import AccessType, PAGE_BITS, PageSize, RequestType
 from ..ptw.walker import PageTableWalker
 from .policies.chirp import CHiRPPolicy
+from .policies.registry import make_tlb_policy
 from .prefetch import make_stlb_prefetcher
 from .tlb import TLB
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..topology.structures import MMUStructures
-
 
 _INSTRUCTION = AccessType.INSTRUCTION
 _SIZE_2M = PageSize.SIZE_2M
@@ -59,35 +55,34 @@ class TranslationResult:
 class MMU:
     """ITLB + DTLB + (unified or split) STLB + hardware walker."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        walker: PageTableWalker,
-        stats: SimStats,
-        structures: Optional["MMUStructures"] = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig, walker: PageTableWalker, stats: SimStats) -> None:
         self.config = config
         self.walker = walker
         self.stats = stats
 
-        if structures is None:
-            # Compatibility path for direct construction (tests, downstream
-            # code): derive the TLB set from the SystemConfig exactly as the
-            # pre-topology wiring did.  Imported lazily — the topology
-            # package imports repro.tlb, so a module-level import here would
-            # close the cycle.
-            from ..topology.structures import mmu_structures
+        def tlb(tlb_config: TLBConfig, policy: str, stats_name: str) -> TLB:
+            return TLB(
+                tlb_config,
+                make_tlb_policy(
+                    policy, tlb_config.num_sets, tlb_config.associativity,
+                    itp_config=config.itp, p_evict_data=config.problru_p,
+                ),
+                stats.level(stats_name),
+            )
 
-            structures = mmu_structures(config, stats)
-
-        self.itlb = structures.itlb
-        self.dtlb = structures.dtlb
-        self.split = structures.stlb_instr is not None
+        self.itlb = tlb(config.itlb, "lru", "ITLB")
+        self.dtlb = tlb(config.dtlb, "lru", "DTLB")
+        # Both halves of a split STLB report into the one STLB bucket.
+        self.split = config.istlb is not None
         if self.split:
-            self.stlb_data = structures.stlb
-            self.stlb_instr = structures.stlb_instr
+            self.stlb_data = tlb(config.stlb, config.stlb_policy, "STLB")
+            self.stlb_instr = tlb(config.istlb, config.stlb_policy, "STLB")
+            stlbs = (self.stlb_data, self.stlb_instr)
         else:
-            self.stlb = structures.stlb
+            self.stlb = tlb(config.stlb, config.stlb_policy, "STLB")
+            stlbs = (self.stlb,)
+        #: Every TLB of this MMU, in build order.
+        self.tlbs = (self.itlb, self.dtlb) + stlbs
         self.stlb_mshrs = make_mshr_file(config.stlb.mshr_entries)
         self.prefetcher = make_stlb_prefetcher(config.stlb_prefetcher)
         #: STLB misses since the adaptive controller last sampled (Section

@@ -3,8 +3,8 @@
 Built on the shared :class:`repro.common.registry.Registry` base; each entry
 is a factory ``(num_sets, associativity, **context) -> policy``.  The
 context keywords (``itp_config``, ``p_evict_data``, ``seed``) are sourced
-from :class:`SystemConfig` by the topology builder; factories take what
-they need and ignore the rest.  Extensions register their own factories on
+from :class:`SystemConfig` by :class:`repro.tlb.hierarchy.MMU`; factories
+take what they need and ignore the rest.  Extensions register their own factories on
 :data:`TLB_POLICIES` (see ``examples/custom_policy.py``).
 """
 

@@ -65,8 +65,8 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
     def _snapshot_state(self):
         system = self.system
         caches = {}
-        for name, cache in system.topology.caches.items():
-            caches[name] = (
+        for cache in system.caches:
+            caches[cache.config.name] = (
                 cache.occupancy(),
                 cache.data_pte_blocks(),
                 dict(cache._tag_maps[0]),
@@ -75,8 +75,8 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
                 sorted(cache.mshrs._retired),
             )
         tlbs = {}
-        for name, tlb in system.topology.tlbs.items():
-            tlbs[name] = (
+        for index, tlb in enumerate(system.tlbs):
+            tlbs[index] = (
                 tlb.occupancy(),
                 tlb.instruction_entries(),
                 dict(tlb._key_maps[0]),
@@ -143,10 +143,12 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
             assert level.prefetch_requests == 0
 
         # --- Structure-resident counters ------------------------------ #
-        for name, cache in system.topology.caches.items():
+        for cache in system.caches:
             mshrs = cache.mshrs
             for counter in ("allocations", "merges", "full_events", "retirements"):
-                assert getattr(mshrs, counter) == 0, f"{name}.mshr {counter} leaked"
+                assert getattr(mshrs, counter) == 0, (
+                    f"{cache.config.name}.mshr {counter} leaked"
+                )
         mmu_mshrs = system.mmu.stlb_mshrs
         assert (mmu_mshrs.allocations, mmu_mshrs.merges,
                 mmu_mshrs.full_events, mmu_mshrs.retirements) == (0, 0, 0, 0)

@@ -57,18 +57,6 @@ class TestMain:
         assert "technique" in out
         assert "itp" in out
 
-    def test_topology_preset_run(self, capsys):
-        rc = main([
-            "--techniques", "lru", "--topology", "no-llc",
-            "--warmup", "1000", "--measure", "5000",
-        ])
-        assert rc == 0
-        assert "topology=no-llc" in capsys.readouterr().out
-
-    def test_unknown_topology(self, capsys):
-        assert main(["--topology", "ring"]) == 2
-        assert "unknown topology" in capsys.readouterr().err
-
     def test_energy_column(self, capsys):
         rc = main([
             "--techniques", "lru", "--energy",
@@ -83,6 +71,20 @@ class TestMain:
             "--warmup", "1000", "--measure", "5000",
         ])
         assert rc == 0
+
+    def test_large_pages_out_of_range_is_rejected(self, capsys):
+        assert main(["--techniques", "lru", "--large-pages", "150"]) == 2
+        err = capsys.readouterr().err
+        assert "--large-pages" in err
+        assert "[0, 100]" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--measure", "0"], "measure"), (["--warmup", "-5"], "warmup")],
+    )
+    def test_impossible_window_is_rejected(self, capsys, flags, field):
+        assert main(["--techniques", "lru", *flags]) == 2
+        assert f"SimJob {field}" in capsys.readouterr().err
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,6 @@ from repro.fabric import (
 )
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
-from repro.topology.presets import resolve_topology
 from repro.workloads.server import ServerWorkload
 from repro.workloads.speclike import SpecLikeWorkload
 
@@ -111,14 +109,14 @@ class TestFaultPlanScope:
 #: Hash/canonical tests run at the high example tier.
 DETERMINISM_SETTINGS = settings(max_examples=500, deadline=None)
 
-TOPOLOGIES = (None, "table1", "split-stlb", "no-llc", "multicore-2", "shared-l2")
+#: Hardware threads per job: one workload (1T) or two (SMT).
+THREADS = (1, 2)
 
 
-def describe_job(technique, warmup, measure, label, topology, seed):
+def describe_job(technique, warmup, measure, label, threads, seed):
     """Build a job from scratch: fresh config, fresh workload objects."""
-    cores = 2 if topology in ("multicore-2", "shared-l2") else 1
-    workloads = tuple(SpecLikeWorkload(f"s{i}", seed + i) for i in range(cores))
-    return SimJob(config_for(technique), workloads, warmup, measure, label, topology)
+    workloads = tuple(SpecLikeWorkload(f"s{i}", seed + i) for i in range(threads))
+    return SimJob(config_for(technique), workloads, warmup, measure, label)
 
 
 job_descriptions = st.tuples(
@@ -126,17 +124,17 @@ job_descriptions = st.tuples(
     st.integers(min_value=0, max_value=50_000),
     st.integers(min_value=1, max_value=200_000),
     st.sampled_from(("", "lru", "itp", "itp+xptp", "a x b")),
-    st.sampled_from(TOPOLOGIES),
+    st.sampled_from(THREADS),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 
 
 def key_batch():
     """A fixed batch of keys, recomputed in a child process below."""
-    cells = [(technique, topology) for technique in POLICY_MATRIX for topology in TOPOLOGIES]
+    cells = [(technique, threads) for technique in POLICY_MATRIX for threads in THREADS]
     return [
-        job_key(describe_job(technique, 1_000 * i, 5_000, technique, topology, i))
-        for i, (technique, topology) in enumerate(cells)
+        job_key(describe_job(technique, 1_000 * i, 5_000, technique, threads, i))
+        for i, (technique, threads) in enumerate(cells)
     ]
 
 
@@ -149,16 +147,13 @@ class TestJobKeyDeterminism:
         assert len(key) == 64 and set(key) <= set("0123456789abcdef")
         # Same description, independently built: same key.
         assert job_key(describe_job(*a)) == key
-        # A preset name and its resolved spec name the same machine.
-        spec = resolve_topology(job_a.topology, job_a.config)
-        assert job_key(replace(job_a, topology=spec)) == key
         # Different content, different key.
         job_b = describe_job(*b)
 
         def content(job):
             return (
                 job.config, job.warmup, job.measure, job.label,
-                job.resolved_topology().content_hash(), job.workloads[0].seed,
+                len(job.workloads), job.workloads[0].seed,
             )
 
         assert (job_key(job_b) == key) == (content(job_b) == content(job_a))

@@ -271,15 +271,21 @@ class TestRPR006TopologyConstruction:
             "    itlb = tlb_module.TLB(config.itlb, pol, stats)\n"
             "    mem = DRAM(config.dram, stats)\n"
         )
-        diags = lint_sources({"core/system.py": src})
+        diags = lint_sources({"core/multicore.py": src})
         assert codes(diags) == ["RPR006", "RPR006", "RPR006"]
 
-    def test_topology_package_is_the_sanctioned_layer(self):
+    def test_wiring_modules_are_the_sanctioned_sites(self):
         src = (
-            "def build_cache(node, config, next_level, stats):\n"
-            "    return SetAssociativeCache(node.config, pol, next_level, stats, None)\n"
+            "def make_cache(config, cache_config, next_level, stats):\n"
+            "    return SetAssociativeCache(cache_config, pol, next_level, stats, None)\n"
+            "def shared_levels(config, stats):\n"
+            "    return DRAM(config.dram, stats)\n"
         )
-        assert lint_sources({"topology/structures.py": src}) == []
+        assert lint_sources({"core/system.py": src}) == []
+        tlbs = "def tlb(tlb_config, stats):\n    return TLB(tlb_config, pol, stats)\n"
+        assert lint_sources({"tlb/hierarchy.py": tlbs}) == []
+        # The sanctioned modules are exact files, not prefixes.
+        assert codes(lint_sources({"core/system_extra.py": src})) == ["RPR006", "RPR006"]
 
     def test_suppression_comment_is_honoured(self):
         src = (
@@ -289,8 +295,8 @@ class TestRPR006TopologyConstruction:
         assert lint_sources({"tlb/fixtures.py": src}) == []
 
     def test_unrelated_calls_pass(self):
-        src = "def f(spec):\n    return build(spec, config)\n"
-        assert lint_sources({"core/system.py": src}) == []
+        src = "def f(config):\n    return System(config)\n"
+        assert lint_sources({"core/multicore.py": src}) == []
 
 
 class TestRunnerAndCLI:

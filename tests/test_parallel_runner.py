@@ -239,6 +239,30 @@ class TestEnvValidation:
         with pytest.raises(ConfigurationError, match="REPRO_CELL_TIMEOUT"):
             ParallelRunner(workers=1)
 
+    @pytest.mark.parametrize("entry", ["runner", "compare-cli", "experiments-cli", "env"])
+    def test_zero_workers_is_rejected(self, monkeypatch, capsys, entry):
+        if entry == "runner":
+            with pytest.raises(ConfigurationError, match="workers must be a positive"):
+                ParallelRunner(workers=0)
+        elif entry == "compare-cli":
+            from repro.cli import main
+
+            assert main(["--techniques", "lru", "--workers", "0"]) == 2
+            assert "workers must be a positive" in capsys.readouterr().err
+        elif entry == "experiments-cli":
+            from repro.experiments.__main__ import main
+
+            assert main(["--workers", "0", "fig14"]) == 2
+            assert "workers must be a positive" in capsys.readouterr().err
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", "0")
+            previous = set_default_runner(None)
+            try:
+                with pytest.raises(ConfigurationError, match="REPRO_WORKERS.*'0'"):
+                    get_default_runner()
+            finally:
+                set_default_runner(previous)
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="failure policy"):
             ParallelRunner(workers=1, policy="best-effort")
@@ -253,6 +277,24 @@ class TestEnvValidation:
         assert runner.policy == "fail-fast"
         assert runner.max_retries == 0
         assert runner.timeout is None
+
+
+class TestJobValidation:
+    @pytest.mark.parametrize(
+        "warmup, measure, field",
+        [(-5, MEASURE, "warmup"), (WARMUP, 0, "measure"), (WARMUP, -1, "measure")],
+    )
+    def test_impossible_window_names_the_field(self, warmup, measure, field):
+        with pytest.raises(ValueError, match=f"SimJob {field}"):
+            SimJob(scaled_config(), (ServerWorkload("w", 1),), warmup, measure)
+
+    def test_zero_warmup_is_allowed(self):
+        SimJob(scaled_config(), (ServerWorkload("w", 1),), 0, MEASURE)
+
+    def test_more_than_two_workloads_is_rejected(self):
+        workloads = tuple(ServerWorkload(f"w{i}", i) for i in range(3))
+        with pytest.raises(ValueError, match="one workload"):
+            SimJob(scaled_config(), workloads, WARMUP, MEASURE)
 
 
 class TestCacheIntegrity:
