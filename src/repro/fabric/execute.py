@@ -5,7 +5,10 @@ RPR008 (worker determinism): nothing reachable from it may use unseeded
 randomness, the wall clock or module-global writes, so a cell's result
 depends only on its job.  :func:`run_inline` is the serial path;
 :class:`CellPool` the process pool, which turns ``BrokenProcessPool``
-into :class:`PoolBroken` and leaves the requeueing to the runner.
+into :class:`PoolBroken` and leaves the requeueing to the runner.  The
+pool machinery (``concurrent.futures`` and ``multiprocessing``) is
+imported only when a pool is first used, so a run that is served from the
+cache or runs inline never loads it.
 """
 
 from __future__ import annotations
@@ -14,15 +17,16 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.simulator import SimulationResult, simulate, simulate_smt
 from ..faults import inject as fault_inject
 from ..faults import plan as fault_plans
 from .jobs import CellTimeout, SimJob
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 
 @contextmanager
@@ -129,6 +133,9 @@ class CellPool:
         return interrupted
 
     def submit(self, key: str, job: SimJob, attempt: int, timeout: Optional[float]) -> None:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._pool is None:
             plan = self._fault_plan
             self._pool = ProcessPoolExecutor(
@@ -145,6 +152,9 @@ class CellPool:
 
     def drain(self) -> List[Attempt]:
         """Block until at least one attempt finishes; return all finished."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         ready, _ = wait(set(self._futures), return_when=FIRST_COMPLETED)
         broken = False
         finished: List[Attempt] = []

@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
@@ -57,6 +56,8 @@ def maybe_crash(key: str) -> None:
     """
     if not should_fire(WORKER_CRASH, key):
         return
+    import multiprocessing
+
     if multiprocessing.parent_process() is not None:
         sys.stderr.flush()
         os._exit(CRASH_EXIT_CODE)

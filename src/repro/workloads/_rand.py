@@ -5,11 +5,18 @@ batches and hand out values one at a time.  Each batch is converted to a
 plain Python list up front (``ndarray.tolist``), so ``next`` is a list
 index instead of a NumPy scalar extraction plus an int()/float() cast —
 the values are bit-identical either way.
+
+This module imports no NumPy itself: the caller's generator does the
+drawing, so NumPy is loaded only by the trace generators that build one,
+when a stream is first pulled.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BatchedUniform:

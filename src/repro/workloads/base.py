@@ -70,6 +70,13 @@ def region_is_large(vaddr: int, percent: int, salt: int = 0) -> bool:
     return ((region + salt) * _HASH_MULT >> 16) % 100 < percent
 
 
+def require_positive(**params: int) -> None:
+    """Reject a generator parameter that must be a positive count, by name."""
+    for name, value in params.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 class SyntheticWorkload(abc.ABC):
     """Base class for generated workloads."""
 

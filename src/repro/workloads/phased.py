@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..common.types import TraceRecord
-from .base import SyntheticWorkload
+from .base import SyntheticWorkload, require_positive
 from .server import ServerWorkload
 from .speclike import SpecLikeWorkload
 
@@ -26,6 +26,8 @@ class PhasedWorkload(SyntheticWorkload):
         large_page_percent: int = 0,
     ) -> None:
         super().__init__(name, seed, large_page_percent)
+        # A zero-length phase would make the stream spin without yielding.
+        require_positive(phase_records=phase_records)
         self.phase_records = phase_records
         self.pressure = ServerWorkload(
             f"{name}_hi", seed, large_page_percent=large_page_percent,

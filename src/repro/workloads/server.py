@@ -14,13 +14,18 @@ partitioned into functions (contiguous runs of fetch lines); execution
 repeatedly samples a function from a Zipf-permuted popularity distribution,
 optionally loops over its body, and issues loads/stores against hot,
 streaming and local data regions.
+
+The function table is derived state: it is built on the first
+:meth:`ServerWorkload.record_stream` call and kept in ``_functions``, so
+constructing a workload (e.g. to build a job matrix whose cells are all
+cached) draws nothing and imports no NumPy, and a job whose table was
+never built pickles without it.  Being underscore-prefixed, the table is
+also outside the workload's fingerprint.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from ..common.types import CACHE_LINE_BYTES, PAGE_BYTES, TraceRecord
 from ._rand import BatchedChoice, BatchedInts, BatchedUniform
@@ -31,8 +36,12 @@ from .base import (
     STREAM_BASE,
     WARM_BASE,
     SyntheticWorkload,
+    require_positive,
     sparse_vaddr,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LINES_PER_PAGE = PAGE_BYTES // CACHE_LINE_BYTES
 
@@ -65,12 +74,30 @@ class ServerWorkload(SyntheticWorkload):
         large_page_percent: int = 0,
     ) -> None:
         super().__init__(name, seed, large_page_percent)
-        if code_pages <= 0 or data_pages <= 0:
-            raise ValueError("footprints must be positive")
+        # Reject here whatever would crash or hang the stream later: the
+        # first stream may only be pulled in a pool worker.
+        require_positive(
+            code_pages=code_pages,
+            data_pages=data_pages,
+            hot_data_pages=hot_data_pages,
+            warm_pages=warm_pages,
+            local_pages=local_pages,
+            lines_per_hot_page=lines_per_hot_page,
+            min_function_lines=min_function_lines,
+        )
+        if min_function_lines > max_function_lines:
+            raise ValueError(
+                f"min_function_lines ({min_function_lines}) cannot exceed "
+                f"max_function_lines ({max_function_lines})"
+            )
         if hot_data_pages > data_pages:
-            raise ValueError("hot set cannot exceed the data footprint")
-        if warm_pages > data_pages - hot_data_pages:
-            raise ValueError("warm set cannot exceed the non-hot data footprint")
+            raise ValueError("hot_data_pages cannot exceed data_pages")
+        if warm_pages >= data_pages - hot_data_pages:
+            # The streaming region is what is left over; it must be non-empty.
+            raise ValueError(
+                "warm_pages must be less than data_pages - hot_data_pages "
+                "(the streaming region would be empty)"
+            )
         if hot_fraction + local_fraction + warm_fraction > 1.0:
             raise ValueError("access-mix fractions must sum to at most 1")
         self.code_pages = code_pages
@@ -91,25 +118,40 @@ class ServerWorkload(SyntheticWorkload):
         self.loop_probability = loop_probability
         self.min_function_lines = min_function_lines
         self.max_function_lines = max_function_lines
-        self._functions = self._build_functions()
+        #: ``(start_line, num_lines)`` per function; built on first use.
+        self._functions: Optional[List[Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------ #
 
     def _build_functions(self) -> List[Tuple[int, int]]:
-        """Partition the code region into (start_line, num_lines) functions."""
+        """Partition the code region into (start_line, num_lines) functions.
+
+        Lengths are i.i.d. in ``[min_function_lines, max_function_lines]``
+        and the last function is cut at the end of the region.  All lengths
+        come from one vector draw of ``ceil(total_lines / min_function_lines)``
+        values, enough to cover the region however short the functions are;
+        PCG64 serves vector and scalar draws from the same stream and the
+        generator is local, so the table equals drawing one length per
+        function until the region is covered.
+        """
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         total_lines = self.code_pages * LINES_PER_PAGE
-        functions: List[Tuple[int, int]] = []
-        line = 0
-        while line < total_lines:
-            length = int(rng.integers(self.min_function_lines, self.max_function_lines + 1))
-            length = min(length, total_lines - line)
-            functions.append((line, length))
-            line += length
-        return functions
+        draws = -(-total_lines // self.min_function_lines)
+        lengths = rng.integers(
+            self.min_function_lines, self.max_function_lines + 1, size=draws
+        )
+        ends = np.cumsum(lengths)
+        # The first function whose end reaches the region's end is the last.
+        count = int(np.searchsorted(ends, total_lines)) + 1
+        bounds = [0] + ends[:count].tolist()
+        bounds[-1] = total_lines
+        return [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(count)]
 
-    def _zipf_weights(self, rng: np.random.Generator) -> np.ndarray:
-        count = len(self._functions)
+    def _zipf_weights(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        import numpy as np
+
         ranks = rng.permutation(count) + 1
         weights = 1.0 / np.power(ranks, self.zipf_alpha)
         return weights / weights.sum()
@@ -117,9 +159,14 @@ class ServerWorkload(SyntheticWorkload):
     # ------------------------------------------------------------------ #
 
     def record_stream(self) -> Iterator[TraceRecord]:
+        import numpy as np
+
+        functions = self._functions
+        if functions is None:
+            functions = self._functions = self._build_functions()
+        func_count = len(functions)
         rng = np.random.default_rng(self.seed + 1)
-        weights = self._zipf_weights(rng)
-        func_count = len(self._functions)
+        weights = self._zipf_weights(rng, func_count)
         stream_bytes = (
             self.data_pages - self.hot_data_pages - self.warm_pages
         ) * PAGE_BYTES
@@ -150,7 +197,6 @@ class ServerWorkload(SyntheticWorkload):
         pick_offset_next = pick_offset.next
         pick_local_next = pick_local.next
         pick_warm_page_next = pick_warm_page.next
-        functions = self._functions
         instrs_per_line = self.instrs_per_line
         load_probability = self.load_probability
         store_probability = self.store_probability

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-import numpy as np
-
 from ..common.types import CACHE_LINE_BYTES, PAGE_BYTES, TraceRecord
 from ._rand import BatchedInts, BatchedUniform
-from .base import CODE_BASE, DATA_BASE, SyntheticWorkload
+from .base import CODE_BASE, DATA_BASE, SyntheticWorkload, require_positive
 
 
 class SpecLikeWorkload(SyntheticWorkload):
@@ -41,8 +39,19 @@ class SpecLikeWorkload(SyntheticWorkload):
         large_page_percent: int = 0,
     ) -> None:
         super().__init__(name, seed, large_page_percent)
-        if hot_data_pages > data_pages:
-            raise ValueError("hot set cannot exceed the data footprint")
+        # Reject here whatever would crash or hang the stream later.
+        require_positive(
+            code_pages=code_pages,
+            data_pages=data_pages,
+            hot_data_pages=hot_data_pages,
+            loop_lines=loop_lines,
+        )
+        if hot_data_pages >= data_pages:
+            # The streaming region is what is left over; it must be non-empty.
+            raise ValueError(
+                "hot_data_pages must be less than data_pages "
+                "(the streaming region would be empty)"
+            )
         self.code_pages = code_pages
         self.data_pages = data_pages
         self.hot_data_pages = hot_data_pages
@@ -54,6 +63,8 @@ class SpecLikeWorkload(SyntheticWorkload):
         self.stride_lines = stride_lines
 
     def record_stream(self) -> Iterator[TraceRecord]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed + 1)
         lines_total = self.code_pages * (PAGE_BYTES // CACHE_LINE_BYTES)
         coin = BatchedUniform(rng)

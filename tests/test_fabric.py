@@ -7,8 +7,10 @@ The runner's retry/crash/cache contract is pinned by
 worker-count regression.
 """
 
+import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +175,29 @@ class TestJobKeyDeterminism:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert json.loads(child.stdout) == key_batch()
+
+    def test_key_ignores_the_function_table(self):
+        job = jobs_for(("itp",))[0]
+        key = job_key(job)
+        next(job.workloads[0].record_stream())
+        assert job.workloads[0]._functions is not None
+        assert job_key(job) == key
+
+
+class TestJobPickling:
+    def test_unbuilt_function_table_is_not_pickled(self):
+        job = jobs_for(("lru",))[0]
+        cold = pickle.dumps(job)
+        assert pickle.loads(cold).workloads[0]._functions is None
+        next(job.workloads[0].record_stream())
+        # The built table is ~1,500 (start, length) pairs.
+        assert len(pickle.dumps(job)) > len(cold) + 5_000
+
+    def test_unpickled_job_streams_like_the_original(self):
+        job = jobs_for(("lru",))[0]
+        clone = pickle.loads(pickle.dumps(job))
+        expect = list(itertools.islice(job.workloads[0].record_stream(), 300))
+        assert list(itertools.islice(clone.workloads[0].record_stream(), 300)) == expect
 
 
 class TestStreaming:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.common.types import PAGE_BYTES, PageSize
@@ -17,12 +18,29 @@ from repro.workloads.base import (
 )
 from repro.workloads.mixes import smt_mixes
 from repro.workloads.phased import PhasedWorkload
-from repro.workloads.server import ServerWorkload, server_suite
+from repro.workloads.server import LINES_PER_PAGE, ServerWorkload, server_suite
 from repro.workloads.speclike import SpecLikeWorkload, spec_suite
 
 
 def take(workload, n):
     return list(itertools.islice(workload.record_stream(), n))
+
+
+def scalar_function_table(workload):
+    """The function table drawn one length per function: the reference the
+    vectorised build must reproduce exactly."""
+    rng = np.random.default_rng(workload.seed)
+    total_lines = workload.code_pages * LINES_PER_PAGE
+    functions = []
+    line = 0
+    while line < total_lines:
+        length = int(
+            rng.integers(workload.min_function_lines, workload.max_function_lines + 1)
+        )
+        length = min(length, total_lines - line)
+        functions.append((line, length))
+        line += length
+    return functions
 
 
 class TestSparseLayout:
@@ -127,6 +145,80 @@ class TestServerWorkload:
         with pytest.raises(ValueError):
             ServerWorkload("w", 1, large_page_percent=101)
 
+    @pytest.mark.parametrize(
+        "kwargs, param",
+        [
+            # Empty streaming region: a ZeroDivisionError at the first
+            # streaming load if accepted.
+            (dict(data_pages=5000, hot_data_pages=200, warm_pages=4800), "warm_pages"),
+            # Zero-length functions: the table never covers the region.
+            (dict(min_function_lines=0, max_function_lines=0), "min_function_lines"),
+            (dict(min_function_lines=9, max_function_lines=8), "max_function_lines"),
+            (dict(hot_data_pages=0), "hot_data_pages"),
+            (dict(warm_pages=0), "warm_pages"),
+            (dict(local_pages=0), "local_pages"),
+            (dict(lines_per_hot_page=0), "lines_per_hot_page"),
+        ],
+    )
+    def test_validation_names_the_parameter(self, kwargs, param):
+        with pytest.raises(ValueError, match=param):
+            ServerWorkload("w", 1, **kwargs)
+
+    def test_table_is_built_on_first_stream(self):
+        wl = ServerWorkload("w", 5)
+        assert wl._functions is None
+        first = take(wl, 100)
+        table = wl._functions
+        assert table is not None
+        assert take(wl, 100) == first
+        assert wl._functions is table
+
+
+class TestFunctionTable:
+    """The vectorised table equals the scalar one-draw-per-function loop."""
+
+    @staticmethod
+    def assert_matches_scalar(workload):
+        table = workload._build_functions()
+        assert table == scalar_function_table(workload)
+        assert all(type(v) is int for entry in table for v in entry)
+        total_lines = workload.code_pages * LINES_PER_PAGE
+        assert table[0][0] == 0
+        assert sum(length for _, length in table) == total_lines
+        for (start, length), (next_start, _) in zip(table, table[1:]):
+            assert start + length == next_start
+            assert workload.min_function_lines <= length <= workload.max_function_lines
+
+    @pytest.mark.parametrize("workload", server_suite(8), ids=lambda w: w.name)
+    def test_server_suite(self, workload):
+        self.assert_matches_scalar(workload)
+
+    def test_smt_mix_servers(self):
+        servers = [
+            w for mix in smt_mixes(3) for w in mix.workloads
+            if isinstance(w, ServerWorkload)
+        ]
+        assert len(servers) == 15
+        for workload in servers:
+            self.assert_matches_scalar(workload)
+
+    def test_phased_pressure_phase(self):
+        self.assert_matches_scalar(PhasedWorkload("p", 7).pressure)
+
+    def test_fixed_length_functions(self):
+        self.assert_matches_scalar(
+            ServerWorkload("w", 3, min_function_lines=8, max_function_lines=8)
+        )
+
+    def test_one_page_code_region(self):
+        self.assert_matches_scalar(ServerWorkload("w", 3, code_pages=1))
+
+    def test_region_not_a_multiple_of_the_function_length(self):
+        # 3 pages = 192 lines, not a multiple of 7: the last function is cut.
+        wl = ServerWorkload("w", 3, code_pages=3, min_function_lines=7, max_function_lines=7)
+        self.assert_matches_scalar(wl)
+        assert wl._build_functions()[-1] == (189, 3)
+
 
 class TestSpecLikeWorkload:
     def test_small_code_footprint(self):
@@ -140,6 +232,21 @@ class TestSpecLikeWorkload:
     def test_validation(self):
         with pytest.raises(ValueError):
             SpecLikeWorkload("s", 1, hot_data_pages=100, data_pages=50)
+
+    @pytest.mark.parametrize(
+        "kwargs, param",
+        [
+            # Empty streaming region: a ZeroDivisionError if accepted.
+            (dict(data_pages=128, hot_data_pages=128), "hot_data_pages"),
+            (dict(code_pages=0), "code_pages"),
+            # No lines per loop: the stream never yields.
+            (dict(loop_lines=0), "loop_lines"),
+            (dict(hot_data_pages=0), "hot_data_pages"),
+        ],
+    )
+    def test_validation_names_the_parameter(self, kwargs, param):
+        with pytest.raises(ValueError, match=param):
+            SpecLikeWorkload("s", 1, **kwargs)
 
 
 class TestSuites:
@@ -184,3 +291,8 @@ class TestPhasedWorkload:
 
     def test_deterministic(self):
         assert take(PhasedWorkload("p", 3), 300) == take(PhasedWorkload("p", 3), 300)
+
+    def test_validation(self):
+        # A zero-length phase would make next() spin forever.
+        with pytest.raises(ValueError, match="phase_records"):
+            PhasedWorkload("p", 3, phase_records=0)
