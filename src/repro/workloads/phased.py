@@ -7,6 +7,7 @@ the quiet phases and the adaptive switch should recover the loss.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from ..common.types import TraceRecord
@@ -45,8 +46,7 @@ class PhasedWorkload(SyntheticWorkload):
     def record_stream(self) -> Iterator[TraceRecord]:
         high = self.pressure.record_stream()
         low = self.quiet.record_stream()
+        phase_records = self.phase_records
         while True:
-            for _ in range(self.phase_records):
-                yield next(high)
-            for _ in range(self.phase_records):
-                yield next(low)
+            yield from islice(high, phase_records)
+            yield from islice(low, phase_records)

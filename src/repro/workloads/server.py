@@ -187,7 +187,14 @@ class ServerWorkload(SyntheticWorkload):
         # Warm region: a large page working set with near-uniform reuse —
         # these are the data pages whose walks dominate STLB miss latency.
         pick_warm_page = BatchedInts(rng, self.warm_pages)
-        current_hot_page = 0
+
+        # Base address of every hot and local page, so the loop adds an
+        # offset instead of calling sparse_vaddr.  The warm region is too
+        # large (thousands of pages, a few percent of loads) to pay for a
+        # table and stays computed per access.
+        hot_bases = [sparse_vaddr(DATA_BASE, page) for page in range(self.hot_data_pages)]
+        local_bases = [sparse_vaddr(LOCAL_BASE, page) for page in range(self.local_pages)]
+        hot_base = hot_bases[0]
 
         # Hot-loop bindings: one record per iteration, so every attribute
         # lookup in here is paid tens of thousands of times per cell.
@@ -206,6 +213,9 @@ class ServerWorkload(SyntheticWorkload):
         page_reuse_probability = self.page_reuse_probability
         loop_probability = self.loop_probability
         local_pages = self.local_pages
+        # TraceRecord's generated __new__ is a Python function; building the
+        # tuple directly gives the same record at half the cost.
+        new_record = tuple.__new__
 
         while True:
             func_id = pick_function_next()
@@ -213,7 +223,7 @@ class ServerWorkload(SyntheticWorkload):
             repeats = 1
             if coin_next() < loop_probability:
                 repeats = 2 if coin_next() < 0.7 else 3
-            local_page = func_id % local_pages
+            local_base = local_bases[func_id % local_pages]
             for _ in range(repeats):
                 for line in range(start_line, start_line + num_lines):
                     # Code is densely laid out: binaries are contiguous, so
@@ -228,14 +238,10 @@ class ServerWorkload(SyntheticWorkload):
                             # Page-burst behaviour: consecutive hot accesses
                             # tend to stay on the same data page.
                             if coin_next() >= page_reuse_probability:
-                                current_hot_page = pick_hot_page_next()
-                            addr = sparse_vaddr(
-                                DATA_BASE, current_hot_page, pick_offset_next() * 8
-                            )
+                                hot_base = hot_bases[pick_hot_page_next()]
+                            addr = hot_base + pick_offset_next() * 8
                         elif select < hot_local_fraction:
-                            addr = sparse_vaddr(
-                                LOCAL_BASE, local_page, pick_local_next() * 8
-                            )
+                            addr = local_base + pick_local_next() * 8
                         elif select < hot_local_warm_fraction:
                             addr = sparse_vaddr(
                                 WARM_BASE, pick_warm_page_next(), pick_offset_next() * 8
@@ -245,10 +251,8 @@ class ServerWorkload(SyntheticWorkload):
                             stream_cursor = (stream_cursor + CACHE_LINE_BYTES) % stream_bytes
                         loads = (addr,)
                     if coin_next() < store_probability:
-                        stores = (
-                            sparse_vaddr(LOCAL_BASE, local_page, pick_local_next() * 8),
-                        )
-                    yield TraceRecord(pc, instrs_per_line, loads, stores)
+                        stores = (local_base + pick_local_next() * 8,)
+                    yield new_record(TraceRecord, (pc, instrs_per_line, loads, stores))
 
 
 def server_suite(

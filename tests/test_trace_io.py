@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.common.types import TraceRecord
+from repro.workloads.base import SyntheticWorkload
 from repro.workloads.server import ServerWorkload
 from repro.workloads.trace_io import (
     FileTraceWorkload,
@@ -39,6 +40,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_trace(path, [TraceRecord(pc=0, num_instrs=300)])
 
+    def test_round_trips_a_full_record(self, tmp_path):
+        path = tmp_path / "t.rptr"
+        record = TraceRecord(
+            pc=2**64 - 64, num_instrs=255,
+            loads=tuple(range(255)), stores=tuple(2**64 - 1 - i for i in range(255)),
+        )
+        write_trace(path, [record, *sample_records()])
+        assert list(read_trace(path)) == [record, *sample_records()]
+
+    def test_read_records_are_trace_records(self, tmp_path):
+        path = tmp_path / "t.rptr"
+        write_trace(path, sample_records())
+        assert all(type(r) is TraceRecord for r in read_trace(path))
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rptr"
         path.write_bytes(b"NOTATRACE")
@@ -52,6 +67,45 @@ class TestRoundTrip:
         path.write_bytes(data[:-4])
         with pytest.raises(ValueError, match="truncated"):
             list(read_trace(path))
+
+
+class TestWriteValidation:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (TraceRecord(0x400040, 4, tuple(range(300))), "record 1: 300 loads"),
+            (TraceRecord(0x400040, 4, (), tuple(range(256))), "record 1: 256 stores"),
+            (TraceRecord(-64, 4), "record 1: pc"),
+            (TraceRecord(2**64, 4), "record 1: pc"),
+            (TraceRecord(0x400040, 4, (1, -8)), "record 1: loads address"),
+            (TraceRecord(0x400040, 4, (), (2**64,)), "record 1: stores address"),
+            (TraceRecord(0x400040, 0), "record 1: num_instrs"),
+        ],
+    )
+    def test_names_the_field_and_leaves_no_file(self, tmp_path, bad, match):
+        path = tmp_path / "t.rptr"
+        with pytest.raises(ValueError, match=match):
+            write_trace(path, [TraceRecord(0x400000, 4, (1,)), bad])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_previous_trace(self, tmp_path):
+        path = tmp_path / "t.rptr"
+        write_trace(path, sample_records())
+        with pytest.raises(ValueError):
+            write_trace(path, [TraceRecord(-1, 4)])
+        assert list(read_trace(path)) == sample_records()
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failing_capture_leaves_no_file(self, tmp_path):
+        class Failing(SyntheticWorkload):
+            def record_stream(self):
+                yield TraceRecord(0x400000, 4)
+                raise RuntimeError("generator failed")
+
+        path = tmp_path / "cap.rptr"
+        with pytest.raises(RuntimeError, match="generator failed"):
+            capture(Failing("f", 0), path, 10)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCaptureReplay:
