@@ -38,6 +38,10 @@ from .workloads.speclike import SpecLikeWorkload
 
 WORKLOAD_KINDS = ("server", "spec", "phased")
 
+#: Workload constructor parameters by the flag that sets them; a workload's
+#: ValueError message starts with the parameter's name.
+_WORKLOAD_FLAGS = {"seed": "--seed", "large_page_percent": "--large-pages"}
+
 
 def describe(config: SystemConfig) -> str:
     """Render a configuration as a Table 1-style listing."""
@@ -155,7 +159,8 @@ def main(argv: List[str] = None) -> int:
     try:
         workload = make_workload(args.workload, args.seed, args.large_pages)
     except ValueError as exc:
-        print(f"--large-pages: {exc}", file=sys.stderr)
+        flag = _WORKLOAD_FLAGS.get(str(exc).split(" ", 1)[0], "--workload")
+        print(f"{flag}: {exc}", file=sys.stderr)
         return 2
     try:
         jobs = [

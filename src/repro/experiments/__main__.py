@@ -93,6 +93,9 @@ def _take_option(argv, name):
 
 def main(argv) -> int:
     argv = list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
     try:
         csv_dir = _take_option(argv, "--csv-dir")
         workers = _take_option(argv, "--workers")

@@ -37,7 +37,7 @@ class SimulationError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """A fabric knob (flag or ``REPRO_*`` variable) could not be parsed."""
+    """A fabric knob (flag or ``REPRO_*`` variable) could not be parsed or used."""
 
 
 class CellTimeout(RuntimeError):

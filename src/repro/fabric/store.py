@@ -20,6 +20,7 @@ from typing import Optional, Union
 from ..core.simulator import SimulationResult
 from ..faults import inject as fault_inject
 from ..faults import plan as fault_plans
+from .jobs import ConfigurationError
 
 #: Entry layout: magic, then sha256(payload), then the pickled payload.
 #: The digest is verified on every load — a mismatch (torn write, bit rot,
@@ -46,7 +47,12 @@ class ResultCache:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cache directory {str(directory)!r} cannot be created: {exc.strerror}"
+            ) from exc
         self.quarantine_dir = self.directory / "quarantine"
         # Observability for the runner's MatrixReport and for tests.
         self.quarantined = 0

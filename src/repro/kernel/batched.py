@@ -117,8 +117,8 @@ class BatchedEngine:
 
     The engine is bit-identical to the scalar loop by construction (see the
     module docstring); ``fast_records`` (deferred tier), ``issue_records``
-    (issuing tier) and ``total_records`` expose fast-path coverage for the
-    bench harness and ``tools/profile_hotpath.py`` without touching
+    (issuing tier) and ``total_records`` expose fast-path coverage (the
+    benchmark's ``kernel.fast_path_coverage``) without touching
     :class:`~repro.common.stats.SimStats`.
     """
 
@@ -324,8 +324,8 @@ class BatchedEngine:
 
     def reset_stats(self) -> None:
         """Clear the coverage counters ``fast_records``, ``issue_records``
-        and ``total_records`` (the bench harness resets them at the warmup
-        boundary)."""
+        and ``total_records`` (call it with ``System.reset_stats`` at the
+        warmup boundary to measure coverage over the measured window)."""
         self.fast_records = 0
         self.issue_records = 0
         self.total_records = 0
@@ -359,8 +359,8 @@ class BatchedEngine:
         return cycles
 
     def run_records(self, record_count: int) -> float:
-        """Execute exactly ``record_count`` records (bench windows are
-        record-bounded); returns the cycles they cost, in stream order."""
+        """Execute exactly ``record_count`` records; returns the cycles
+        they cost, in stream order."""
         cycles = 0.0
         if not self._fast_ok:
             execute = self._execute

@@ -81,10 +81,13 @@ class SyntheticWorkload(abc.ABC):
     """Base class for generated workloads."""
 
     def __init__(self, name: str, seed: int, large_page_percent: int = 0) -> None:
+        # Generators seed numpy with it, which takes no negative seed.
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        if not 0 <= large_page_percent <= 100:
+            raise ValueError(f"large_page_percent must be in [0, 100], got {large_page_percent}")
         self.name = name
         self.seed = seed
-        if not 0 <= large_page_percent <= 100:
-            raise ValueError("large_page_percent must be in [0, 100]")
         self.large_page_percent = large_page_percent
 
     @abc.abstractmethod

@@ -78,6 +78,20 @@ class TestMain:
         assert "--large-pages" in err
         assert "[0, 100]" in err
 
+    def test_negative_seed_is_rejected(self, capsys):
+        assert main(["--techniques", "lru", "--seed", "-1",
+                     "--warmup", "100", "--measure", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--seed:")
+        assert "--large-pages" not in err
+
+    def test_uncreatable_cache_dir_is_a_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--techniques", "lru", "--cache-dir", str(blocker / "sub"),
+                     "--warmup", "100", "--measure", "100"]) == 2
+        assert str(blocker / "sub") in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, field",
         [(["--measure", "0"], "measure"), (["--warmup", "-5"], "warmup")],

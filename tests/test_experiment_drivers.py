@@ -5,6 +5,7 @@ caught before the (slow) benchmark run.  Each test only checks structure
 and basic sanity, not the paper shapes — those are the benches' job.
 """
 
+import pytest
 
 from repro.experiments import (
     ablation_adaptive,
@@ -139,6 +140,23 @@ class TestCLI:
 
         assert cli.main(["fig99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage(self, capsys, flag):
+        from repro.experiments import __main__ as cli
+
+        assert cli.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert "python -m repro.experiments" in out
+        assert "--cache-dir" in out
+
+    def test_uncreatable_cache_dir_is_a_usage_error(self, capsys, tmp_path):
+        from repro.experiments import __main__ as cli
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["--cache-dir", str(blocker / "sub"), "fig02"]) == 2
+        assert str(blocker / "sub") in capsys.readouterr().err
 
 
 class TestSMTCategoryBreakdown:

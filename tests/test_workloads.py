@@ -280,6 +280,13 @@ class TestSuites:
         )
 
 
+@pytest.mark.parametrize("kind", [ServerWorkload, SpecLikeWorkload, PhasedWorkload])
+def test_negative_seed_is_rejected_by_name(kind):
+    # numpy refuses a negative seed only once the first record is pulled.
+    with pytest.raises(ValueError, match="seed"):
+        kind("w", -1)
+
+
 class TestPhasedWorkload:
     def test_alternates_phases(self):
         wl = PhasedWorkload("p", 3, phase_records=4000)
